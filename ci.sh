@@ -6,6 +6,10 @@
 set -eu
 cd "$(dirname "$0")"
 
+# Host fingerprint, so a slow or failing run can be read against the
+# machine it ran on.
+echo "host: nproc=$(nproc) $(go version)"
+
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 

@@ -2,6 +2,12 @@
 // for RNNs, a concrete unrolled sequence length) into the NPU's CISC
 // instruction stream with per-instruction effective latencies.
 //
+// The stream is emitted as runs of identical tiles (npu.Instr with a
+// Count), computed arithmetically from each layer's tiling rather than
+// by walking tiles: a program costs O(runs), and a layer is a few runs.
+// The per-tile stream it expands to is the contract; the package tests
+// keep the per-tile lowering as the reference it must match.
+//
 // The timing model is the paper's deterministic weight-stationary dataflow
 // (Figure 3, Algorithm 1): every GEMM is tiled into (SW x SH) weight tiles
 // streamed against (SH x ACC) activation tiles; double-buffering overlaps
@@ -19,6 +25,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dnn"
 	"repro/internal/npu"
@@ -61,11 +68,13 @@ func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program
 		if err := l.Validate(); err != nil {
 			return nil, fmt.Errorf("compiler: %w", err)
 		}
-		c.lowerLayer(prog, int32(idx), l, batch)
+		if err := c.lowerLayer(prog, int32(idx), l, batch); err != nil {
+			return nil, err
+		}
 		prog.TotalMACs += l.MACs(batch)
 	}
-	for _, in := range prog.Instrs {
-		prog.TotalCycles += int64(in.Cycles)
+	for i := range prog.Instrs {
+		prog.TotalCycles += prog.Instrs[i].RunCycles()
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -73,14 +82,44 @@ func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program
 	return prog, nil
 }
 
-// lowerLayer appends the instruction sequence for one layer.
-func (c *Compiler) lowerLayer(prog *npu.Program, idx int32, l dnn.Layer, batch int) {
+// lowerLayer appends the instruction runs for one layer.
+func (c *Compiler) lowerLayer(prog *npu.Program, idx int32, l dnn.Layer, batch int) error {
 	switch l.Kind {
 	case dnn.Conv, dnn.FC, dnn.LSTM:
-		c.lowerGEMM(prog, idx, l, batch)
+		return c.lowerGEMM(prog, idx, l, batch)
 	case dnn.DWConv, dnn.Pool, dnn.Act:
-		c.lowerVector(prog, idx, l, batch)
+		return c.lowerVector(prog, idx, l, batch)
 	}
+	return nil
+}
+
+// emit appends a run, merging it into the previous run when the two are
+// indistinguishable tile by tile: same op, layer and latency, and either
+// the same flat live context or consecutive stretches of one ramp.
+func emit(prog *npu.Program, in npu.Instr) {
+	if n := len(prog.Instrs); n > 0 {
+		last := &prog.Instrs[n-1]
+		next := last.Ramp
+		if next.Total != 0 {
+			next.First += last.Count
+		}
+		if last.Op == in.Op && last.Layer == in.Layer && last.Cycles == in.Cycles &&
+			last.LiveBytes == in.LiveBytes && next == in.Ramp &&
+			int64(last.Count)+int64(in.Count) <= math.MaxInt32 {
+			last.Count += in.Count
+			return
+		}
+	}
+	prog.Instrs = append(prog.Instrs, in)
+}
+
+// rampTiles checks that a layer's tile count fits a ramp's 32-bit
+// index.
+func rampTiles(idx int32, tiles int64) (int32, error) {
+	if tiles > math.MaxInt32 {
+		return 0, fmt.Errorf("compiler: layer %d lowers to %d tiles, beyond the ISA's 32-bit tile index", idx, tiles)
+	}
+	return int32(tiles), nil
 }
 
 // TileTime returns the effective latency of one GEMM tile with kTile
@@ -120,15 +159,22 @@ func tile(cfg npu.Config, g dnn.GEMMShape) gemmTiles {
 	return t
 }
 
-// lowerGEMM emits the instruction stream for a GEMM-mapped layer:
-// a weight preamble (LOAD_TILE + DRAM latency, not overlappable because
+// lowerGEMM emits the instruction runs for a GEMM-mapped layer: a
+// weight preamble (LOAD_TILE + DRAM latency, not overlappable because
 // the pipeline is empty), one CONV_OP/GEMM_OP per tile with the
 // double-buffered effective latency, an optional STORE_TILE spill when
 // outputs exceed UBUF, and a VECTOR_OP epilogue for fused activations.
-func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch int) {
+//
+// The tiles are walked m-major, then k, then n: inner n tiles stream ACC
+// columns and the outer one the residue, and the last k tile reduces
+// only the leftover rows. So one m row of tiles is the same short
+// pattern of latencies every time, and the layer lowers to that
+// pattern's runs repeated per m — or to a single run when the pattern
+// has one latency.
+func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch int) error {
 	g, ok := l.GEMM(batch)
 	if !ok || !g.Valid() {
-		return
+		return nil
 	}
 	cfg := c.cfg
 	t := tile(cfg, g)
@@ -144,15 +190,17 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch in
 	// Preamble: first weight tile load with the pipeline idle.
 	preBytes := dnn.Bytes(int64(cfg.SH) * int64(cfg.SW))
 	pre := cfg.MemCycles(preBytes) + cfg.MemLatencyCycles
-	prog.Instrs = append(prog.Instrs, npu.Instr{
-		Op: npu.LoadTile, Layer: idx,
+	emit(prog, npu.Instr{
+		Op: npu.LoadTile, Layer: idx, Count: 1,
 		Cycles:    clampCycles(pre),
 		LiveBytes: liveBytes(cfg, inBytes, 0),
 	})
 
-	totalTiles := t.mTiles * t.kTiles * (t.nInner + t.nOuter)
-	emitted := 0
-	emitTile := func(kTile, n int) {
+	total, err := rampTiles(idx, int64(t.mTiles)*int64(t.kTiles)*int64(t.nInner+t.nOuter))
+	if err != nil {
+		return err
+	}
+	tileCycles := func(kTile, n int) int32 {
 		cycles := TileTime(cfg, kTile, n)
 		if spills {
 			// Output rows leave UBUF for DRAM as they are produced;
@@ -162,26 +210,59 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch in
 				cycles = mem
 			}
 		}
-		emitted++
-		produced := int64(float64(outBytes) * float64(emitted) / float64(totalTiles))
-		prog.Instrs = append(prog.Instrs, npu.Instr{
-			Op: op, Layer: idx,
-			Cycles:    clampCycles(cycles),
-			LiveBytes: liveBytes(cfg, inBytes, produced),
-		})
+		return clampCycles(cycles)
 	}
 
-	for m := 0; m < t.mTiles; m++ {
-		for k := 0; k < t.kTiles; k++ {
-			kTile := cfg.SH
-			if k == t.kTiles-1 {
-				kTile = t.kLast
-			}
-			for n := 0; n < t.nInner; n++ {
-				emitTile(kTile, cfg.ACC)
-			}
-			if t.nOuter > 0 {
-				emitTile(kTile, t.outerN)
+	// One m row: the full-height k tiles, then the last k tile.
+	type seg struct {
+		cycles int32
+		count  int64
+	}
+	row := make([]seg, 0, 4) // one m row is usually one or two runs
+	add := func(cycles int32, count int64) {
+		if count == 0 {
+			return
+		}
+		if n := len(row); n > 0 && row[n-1].cycles == cycles {
+			row[n-1].count += count
+			return
+		}
+		row = append(row, seg{cycles, count})
+	}
+	kFull := int64(t.kTiles - 1)
+	switch {
+	case t.nInner > 0 && t.nOuter > 0:
+		in, out := tileCycles(cfg.SH, cfg.ACC), tileCycles(cfg.SH, t.outerN)
+		for k := int64(0); k < kFull; k++ {
+			add(in, int64(t.nInner))
+			add(out, 1)
+		}
+	case t.nInner > 0:
+		add(tileCycles(cfg.SH, cfg.ACC), kFull*int64(t.nInner))
+	default:
+		add(tileCycles(cfg.SH, t.outerN), kFull)
+	}
+	if t.nInner > 0 {
+		add(tileCycles(t.kLast, cfg.ACC), int64(t.nInner))
+	}
+	if t.nOuter > 0 {
+		add(tileCycles(t.kLast, t.outerN), 1)
+	}
+
+	ramp := npu.Ramp{Out: outBytes, Cap: cfg.UBUFBytes, First: 1, Total: total}
+	run := func(s seg) {
+		emit(prog, npu.Instr{
+			Op: op, Layer: idx, Cycles: s.cycles, Count: int32(s.count),
+			LiveBytes: inBytes, Ramp: ramp,
+		})
+		ramp.First += int32(s.count)
+	}
+	if len(row) == 1 {
+		run(seg{row[0].cycles, row[0].count * int64(t.mTiles)})
+	} else {
+		for m := 0; m < t.mTiles; m++ {
+			for _, s := range row {
+				run(s)
 			}
 		}
 	}
@@ -190,8 +271,8 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch in
 		// Residual drain of the final output rows that could not
 		// overlap with further compute.
 		drain := cfg.MemCycles(dnn.Bytes(int64(cfg.SW)*int64(cfg.ACC))) + cfg.MemLatencyCycles
-		prog.Instrs = append(prog.Instrs, npu.Instr{
-			Op: npu.StoreTile, Layer: idx,
+		emit(prog, npu.Instr{
+			Op: npu.StoreTile, Layer: idx, Count: 1,
 			Cycles:    clampCycles(drain),
 			LiveBytes: liveBytes(cfg, 0, outBytes),
 		})
@@ -203,13 +284,14 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch in
 		// critical path.
 		ep := l.OutputElems(batch) / int64(cfg.VectorLanes) / 4
 		if ep > 0 {
-			prog.Instrs = append(prog.Instrs, npu.Instr{
-				Op: npu.VectorOp, Layer: idx,
+			emit(prog, npu.Instr{
+				Op: npu.VectorOp, Layer: idx, Count: 1,
 				Cycles:    clampCycles(ep),
 				LiveBytes: liveBytes(cfg, 0, outBytes),
 			})
 		}
 	}
+	return nil
 }
 
 // memOnly returns the tile's memory phase without the weight preamble.
@@ -221,7 +303,7 @@ func memOnly(cfg npu.Config, kTile, n int) int64 {
 // array: depthwise convolutions, pooling, standalone activations. The
 // latency is element throughput bound by the vector lanes, or by memory
 // when the layer is bandwidth bound.
-func (c *Compiler) lowerVector(prog *npu.Program, idx int32, l dnn.Layer, batch int) {
+func (c *Compiler) lowerVector(prog *npu.Program, idx int32, l dnn.Layer, batch int) error {
 	cfg := c.cfg
 	macs := l.MACs(batch)
 	compute := stats.CeilDiv64(macs, int64(cfg.VectorLanes))
@@ -236,23 +318,28 @@ func (c *Compiler) lowerVector(prog *npu.Program, idx int32, l dnn.Layer, batch 
 	cycles += cfg.MemLatencyCycles
 
 	// Split long vector layers into ACC-sized chunks so preemption
-	// points stay fine-grained (footnote 2: tile-boundary preemption).
+	// points stay fine-grained (footnote 2: tile-boundary preemption):
+	// equal chunks, the last one absorbing the remainder.
 	const chunkTarget = 1 << 14 // cycles per emitted instruction
-	chunks := int(cycles/chunkTarget) + 1
+	chunks, err := rampTiles(idx, cycles/chunkTarget+1)
+	if err != nil {
+		return err
+	}
 	per := cycles / int64(chunks)
 	rem := cycles - per*int64(chunks)
-	for i := 0; i < chunks; i++ {
-		cyc := per
-		if i == chunks-1 {
-			cyc += rem
-		}
-		produced := int64(float64(outBytes) * float64(i+1) / float64(chunks))
-		prog.Instrs = append(prog.Instrs, npu.Instr{
-			Op: npu.VectorOp, Layer: idx,
-			Cycles:    clampCycles(cyc),
-			LiveBytes: liveBytes(cfg, inBytes, produced),
+	ramp := npu.Ramp{Out: outBytes, Cap: cfg.UBUFBytes, First: 1, Total: chunks}
+	if chunks > 1 {
+		emit(prog, npu.Instr{
+			Op: npu.VectorOp, Layer: idx, Cycles: clampCycles(per), Count: chunks - 1,
+			LiveBytes: inBytes, Ramp: ramp,
 		})
 	}
+	ramp.First = chunks
+	emit(prog, npu.Instr{
+		Op: npu.VectorOp, Layer: idx, Cycles: clampCycles(per + rem), Count: 1,
+		LiveBytes: inBytes, Ramp: ramp,
+	})
+	return nil
 }
 
 // liveBytes models the checkpointable on-chip context: resident input

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dnn"
 	"repro/internal/npu"
+	"repro/internal/stats"
 )
 
 func newCompiler(t *testing.T) *Compiler {
@@ -170,7 +171,7 @@ func TestLiveBytesGrowWithinLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prev int64 = -1
-	for _, in := range prog.Instrs {
+	for _, in := range expand(prog) {
 		if in.Op != npu.ConvOp {
 			continue
 		}
@@ -289,5 +290,230 @@ func TestRandomConvCompileProperty(t *testing.T) {
 	}
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// expand returns prog's tiles one record each.
+func expand(prog *npu.Program) []npu.Instr {
+	var out []npu.Instr
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		for j := int32(0); j < in.Count; j++ {
+			out = append(out, in.Tile(j))
+		}
+	}
+	return out
+}
+
+// refCompile is the per-tile reference lowering: it emits one count-1
+// record per committed instruction, walking every tile, exactly as the
+// compiler did before it emitted runs. The compact program must expand
+// to this stream field for field.
+func refCompile(c *Compiler, m *dnn.Model, batch, inLen, outLen int) ([]npu.Instr, int64) {
+	var out []npu.Instr
+	for idx, l := range m.LayersFor(inLen, outLen) {
+		switch l.Kind {
+		case dnn.Conv, dnn.FC, dnn.LSTM:
+			out = refLowerGEMM(c.cfg, out, int32(idx), l, batch)
+		case dnn.DWConv, dnn.Pool, dnn.Act:
+			out = refLowerVector(c.cfg, out, int32(idx), l, batch)
+		}
+	}
+	var total int64
+	for _, in := range out {
+		total += int64(in.Cycles)
+	}
+	return out, total
+}
+
+func refLowerGEMM(cfg npu.Config, out []npu.Instr, idx int32, l dnn.Layer, batch int) []npu.Instr {
+	g, ok := l.GEMM(batch)
+	if !ok || !g.Valid() {
+		return out
+	}
+	t := tile(cfg, g)
+	op := npu.GEMMOp
+	if l.Kind == dnn.Conv {
+		op = npu.ConvOp
+	}
+	inBytes := dnn.Bytes(l.InputElems(batch))
+	outBytes := dnn.Bytes(l.OutputElems(batch))
+	spills := outBytes > cfg.UBUFBytes
+	pre := cfg.MemCycles(dnn.Bytes(int64(cfg.SH)*int64(cfg.SW))) + cfg.MemLatencyCycles
+	out = append(out, npu.Instr{Op: npu.LoadTile, Layer: idx, Count: 1,
+		Cycles: clampCycles(pre), LiveBytes: liveBytes(cfg, inBytes, 0)})
+	totalTiles := t.mTiles * t.kTiles * (t.nInner + t.nOuter)
+	emitted := 0
+	emitTile := func(kTile, n int) {
+		cycles := TileTime(cfg, kTile, n)
+		if spills {
+			extra := cfg.MemCycles(dnn.Bytes(int64(cfg.SW) * int64(n)))
+			if mem := extra + memOnly(cfg, kTile, n); mem > cycles {
+				cycles = mem
+			}
+		}
+		emitted++
+		produced := int64(float64(outBytes) * float64(emitted) / float64(totalTiles))
+		out = append(out, npu.Instr{Op: op, Layer: idx, Count: 1,
+			Cycles: clampCycles(cycles), LiveBytes: liveBytes(cfg, inBytes, produced)})
+	}
+	for m := 0; m < t.mTiles; m++ {
+		for k := 0; k < t.kTiles; k++ {
+			kTile := cfg.SH
+			if k == t.kTiles-1 {
+				kTile = t.kLast
+			}
+			for n := 0; n < t.nInner; n++ {
+				emitTile(kTile, cfg.ACC)
+			}
+			if t.nOuter > 0 {
+				emitTile(kTile, t.outerN)
+			}
+		}
+	}
+	if spills {
+		drain := cfg.MemCycles(dnn.Bytes(int64(cfg.SW)*int64(cfg.ACC))) + cfg.MemLatencyCycles
+		out = append(out, npu.Instr{Op: npu.StoreTile, Layer: idx, Count: 1,
+			Cycles: clampCycles(drain), LiveBytes: liveBytes(cfg, 0, outBytes)})
+	}
+	if l.FusedAct {
+		if ep := l.OutputElems(batch) / int64(cfg.VectorLanes) / 4; ep > 0 {
+			out = append(out, npu.Instr{Op: npu.VectorOp, Layer: idx, Count: 1,
+				Cycles: clampCycles(ep), LiveBytes: liveBytes(cfg, 0, outBytes)})
+		}
+	}
+	return out
+}
+
+func refLowerVector(cfg npu.Config, out []npu.Instr, idx int32, l dnn.Layer, batch int) []npu.Instr {
+	compute := stats.CeilDiv64(l.MACs(batch), int64(cfg.VectorLanes))
+	inBytes := dnn.Bytes(l.InputElems(batch))
+	outBytes := dnn.Bytes(l.OutputElems(batch))
+	mem := cfg.MemCycles(inBytes + dnn.Bytes(l.WeightElems()))
+	cycles := compute
+	if mem > cycles {
+		cycles = mem
+	}
+	cycles += cfg.MemLatencyCycles
+	const chunkTarget = 1 << 14
+	chunks := int(cycles/chunkTarget) + 1
+	per := cycles / int64(chunks)
+	rem := cycles - per*int64(chunks)
+	for i := 0; i < chunks; i++ {
+		cyc := per
+		if i == chunks-1 {
+			cyc += rem
+		}
+		produced := int64(float64(outBytes) * float64(i+1) / float64(chunks))
+		out = append(out, npu.Instr{Op: npu.VectorOp, Layer: idx, Count: 1,
+			Cycles: clampCycles(cyc), LiveBytes: liveBytes(cfg, inBytes, produced)})
+	}
+	return out
+}
+
+// checkAgainstReference compiles one instance and matches its expansion
+// against the per-tile reference, field for field.
+func checkAgainstReference(t *testing.T, c *Compiler, m *dnn.Model, batch, inLen, outLen int) {
+	t.Helper()
+	prog, err := c.Compile(m, batch, inLen, outLen)
+	if err != nil {
+		t.Fatalf("%s b%d %d/%d: %v", m.Name, batch, inLen, outLen, err)
+	}
+	want, total := refCompile(c, m, batch, inLen, outLen)
+	got := expand(prog)
+	if prog.TotalCycles != total || prog.Tiles() != int64(len(want)) || len(got) != len(want) {
+		t.Fatalf("%s b%d %d/%d: %d tiles / %d cycles, reference %d / %d",
+			m.Name, batch, inLen, outLen, len(got), prog.TotalCycles, len(want), total)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s b%d %d/%d: tile %d = %+v, reference %+v",
+				m.Name, batch, inLen, outLen, i, got[i], want[i])
+		}
+	}
+	if max := refMaxLive(want); prog.MaxLiveBytes() != max {
+		t.Errorf("%s b%d %d/%d: MaxLiveBytes %d, reference %d",
+			m.Name, batch, inLen, outLen, prog.MaxLiveBytes(), max)
+	}
+}
+
+func refMaxLive(instrs []npu.Instr) int64 {
+	var max int64
+	for _, in := range instrs {
+		if in.LiveBytes > max {
+			max = in.LiveBytes
+		}
+	}
+	return max
+}
+
+// TestRunsExpandToReference is the identity proof of the run-length
+// program format: every zoo model at every evaluated batch size (and,
+// for RNNs, at 20 sampled sequence-length pairs) expands to exactly the
+// per-tile reference stream.
+func TestRunsExpandToReference(t *testing.T) {
+	c := newCompiler(t)
+	rng := rand.New(rand.NewPCG(12, 34))
+	for _, m := range dnn.All() {
+		for _, b := range dnn.BatchSizes {
+			if !m.IsRNN() {
+				checkAgainstReference(t, c, m, b, 0, 0)
+				continue
+			}
+			for s := 0; s < 20; s++ {
+				inLen := m.MinInLen + rng.IntN(m.MaxInLen-m.MinInLen+1)
+				outLen := 1 + rng.IntN(6*inLen)
+				checkAgainstReference(t, c, m, b, inLen, outLen)
+			}
+		}
+	}
+}
+
+// TestRunsExpandToReferenceRandomLayers extends the identity proof to
+// random layer shapes, which reach tilings (ragged k and n tiles, UBUF
+// spills, long vector layers) the zoo may not.
+func TestRunsExpandToReferenceRandomLayers(t *testing.T) {
+	c := newCompiler(t)
+	rng := rand.New(rand.NewPCG(5, 8))
+	for i := 0; i < 200; i++ {
+		hw := 2 + rng.IntN(80)
+		k := 1 + 2*rng.IntN(3)
+		if k > hw {
+			k = 1
+		}
+		layers := []dnn.Layer{
+			dnn.NewConv("c", hw, hw, 1+rng.IntN(600), 1+rng.IntN(700), k, 1, k/2),
+			dnn.NewFC("f", 1+rng.IntN(5000), 1+rng.IntN(3000), rng.IntN(2) == 0),
+		}
+		m := &dnn.Model{Name: "r", Class: dnn.CNN, Static: layers}
+		checkAgainstReference(t, c, m, 1+rng.IntN(64), 0, 0)
+	}
+}
+
+// TestRunRecordCounts pins how compact the run format is on the
+// workloads the paper mixes, against the per-tile record counts.
+func TestRunRecordCounts(t *testing.T) {
+	c := newCompiler(t)
+	for _, tc := range []struct {
+		model                string
+		batch, inLen, outLen int
+		tiles, runs          int64
+	}{
+		{"RNN-MT1", 1, 30, 30, 59550, 510},
+		{"CNN-VN", 16, 0, 0, 17001, 1820},
+		{"CNN-AN", 1, 0, 0, 3835, 31},
+	} {
+		m, err := dnn.ByName(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := c.Compile(m, tc.batch, tc.inLen, tc.outLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.Tiles() != tc.tiles || int64(len(prog.Instrs)) != tc.runs {
+			t.Errorf("%s b%d: %d runs for %d tiles, want %d runs for %d tiles",
+				tc.model, tc.batch, len(prog.Instrs), prog.Tiles(), tc.runs, tc.tiles)
+		}
 	}
 }

@@ -330,6 +330,9 @@ func TestCommandErrors(t *testing.T) {
 		{"cordon npu-1", "bad NPU index"},
 		{"slow npu0", "usage: slow"},
 		{"slow npu0 x-fast", "bad slow factor"},
+		{"slow npu0 xNaN", "slowdown factor"},
+		{"slow npu0 xInf", "slowdown factor"},
+		{"slow npu0 x1e12", "slowdown factor"},
 		{"scale", "usage: scale"},
 		{"scale 9", "outside"},
 		{"load -1", "bad offered load"},

@@ -3,12 +3,18 @@ package dnn
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
-// Suite returns the eight-model benchmark suite of Section III in the
-// paper's presentation order: CNN-AN/GN/VN/MN then RNN-SA/MT1/MT2/ASR.
-func Suite() []*Model {
-	return []*Model{
+// zoo is every model, built once: the eight-model suite in the paper's
+// presentation order, then the auxiliary models. The models are shared
+// and immutable — nothing writes to a zoo model after construction.
+var zoo = sync.OnceValue(func() (z struct {
+	all    []*Model
+	byName map[string]*Model
+	names  []string
+}) {
+	z.all = []*Model{
 		AlexNet(),
 		GoogLeNet(),
 		VGG16(),
@@ -17,35 +23,49 @@ func Suite() []*Model {
 		TranslationDE(),
 		TranslationZH(),
 		SpeechRecognition(),
+		ResNet50(),
+		TranslationKO(),
 	}
+	z.byName = make(map[string]*Model, len(z.all))
+	for _, m := range z.all {
+		z.byName[m.Name] = m
+		z.names = append(z.names, m.Name)
+	}
+	sort.Strings(z.names)
+	return z
+})
+
+// suiteLen is the number of zoo models in the default suite.
+const suiteLen = 8
+
+// Suite returns the eight-model benchmark suite of Section III in the
+// paper's presentation order: CNN-AN/GN/VN/MN then RNN-SA/MT1/MT2/ASR.
+// The models are shared and must not be modified; the slice is the
+// caller's.
+func Suite() []*Model {
+	return append([]*Model(nil), zoo().all[:suiteLen]...)
 }
 
 // All returns every model in the zoo, including the auxiliary models that
 // are not part of the default suite (CNN-RN for Figure 1, RNN-MT-KO for
-// sensitivity studies).
+// sensitivity studies). The models are shared and must not be modified;
+// the slice is the caller's.
 func All() []*Model {
-	return append(Suite(), ResNet50(), TranslationKO())
+	return append([]*Model(nil), zoo().all...)
 }
 
-// ByName looks a model up by its workload label.
+// ByName looks a model up by its workload label, returning the shared
+// zoo model.
 func ByName(name string) (*Model, error) {
-	for _, m := range All() {
-		if m.Name == name {
-			return m, nil
-		}
+	if m, ok := zoo().byName[name]; ok {
+		return m, nil
 	}
 	return nil, fmt.Errorf("dnn: unknown model %q (known: %v)", name, Names())
 }
 
 // Names returns the sorted labels of every model in the zoo.
 func Names() []string {
-	models := All()
-	names := make([]string, len(models))
-	for i, m := range models {
-		names[i] = m.Name
-	}
-	sort.Strings(names)
-	return names
+	return append([]string(nil), zoo().names...)
 }
 
 // BatchSizes are the batch sizes the paper evaluates (Figures 5-6).

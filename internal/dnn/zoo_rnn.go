@@ -1,6 +1,9 @@
 package dnn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file encodes the RNN benchmark topologies of Section III:
 // RNN-SA (sentiment analysis, linear input/output length relationship),
@@ -29,6 +32,19 @@ func lstmStack(layers []Layer, prefix string, nLayers, hidden, inDim int) []Laye
 	return layers
 }
 
+// repeatSteps appends n copies of one timestep's layers, reserving room
+// for extra more layers after them.
+func repeatSteps(layers, step []Layer, n, extra int) []Layer {
+	if n <= 0 {
+		return layers
+	}
+	layers = slices.Grow(layers, n*len(step)+extra)
+	for t := 0; t < n; t++ {
+		layers = append(layers, step...)
+	}
+	return layers
+}
+
 // SentimentAnalysis returns RNN-SA: a 2-layer LSTM (hidden 512) over the
 // input sequence followed by a small classifier. Its output sequence
 // length equals its input length (Figure 8(b)), so prediction is trivial.
@@ -38,13 +54,11 @@ func SentimentAnalysis() *Model {
 		embed  = 512
 		stack  = 2
 	)
+	enc := lstmStack(nil, "enc", stack, hidden, embed)
 	unroll := func(inLen, outLen int) []Layer {
 		// Linear RNN: recurrence length == input length; outLen is
 		// ignored by construction (Figure 8(b)).
-		var layers []Layer
-		for t := 0; t < inLen; t++ {
-			layers = lstmStack(layers, "enc", stack, hidden, embed)
-		}
+		layers := repeatSteps(nil, enc, inLen, 1)
 		layers = append(layers, NewFC("cls", hidden, 2, false))
 		return layers
 	}
@@ -64,21 +78,16 @@ func SentimentAnalysis() *Model {
 // target languages.
 func machineTranslation(name, profile string, stack, hidden, vocab int) *Model {
 	embed := hidden
+	enc := lstmStack(nil, "enc", stack, hidden, embed)
+	// Attention context combine and vocabulary projection per generated
+	// token (seq2seq decoding, Figure 8(c)).
+	dec := append(lstmStack(nil, "dec", stack, hidden, embed),
+		NewFC("attn", 2*hidden, hidden, true),
+		NewFC("proj", hidden, vocab, false),
+	)
 	unroll := func(inLen, outLen int) []Layer {
-		var layers []Layer
-		for t := 0; t < inLen; t++ {
-			layers = lstmStack(layers, "enc", stack, hidden, embed)
-		}
-		for t := 0; t < outLen; t++ {
-			layers = lstmStack(layers, "dec", stack, hidden, embed)
-			// Attention context combine and vocabulary projection
-			// per generated token (seq2seq decoding, Figure 8(c)).
-			layers = append(layers,
-				NewFC("attn", 2*hidden, hidden, true),
-				NewFC("proj", hidden, vocab, false),
-			)
-		}
-		return layers
+		layers := repeatSteps(nil, enc, inLen, max(outLen, 0)*len(dec))
+		return repeatSteps(layers, dec, outLen, 0)
 	}
 	return &Model{
 		Name: name, Class: RNN,
@@ -120,31 +129,30 @@ func SpeechRecognition() *Model {
 		featDim = 80
 		charVoc = 30
 	)
+	// Pyramidal encoder: layer l consumes the concatenation of two
+	// lower-layer outputs, with a forward and a backward cell per step.
+	var enc [3][]Layer
+	inDim := featDim
+	for l := range enc {
+		enc[l] = []Layer{
+			NewLSTM(fmt.Sprintf("enc.l%d.fw", l), hidden, inDim),
+			NewLSTM(fmt.Sprintf("enc.l%d.bw", l), hidden, inDim),
+		}
+		inDim = 4 * hidden // concat of 2 timesteps x 2 directions
+	}
+	dec := append(lstmStack(nil, "dec", 2, hidden, hidden),
+		NewFC("attn", 2*hidden, hidden, true),
+		NewFC("proj", hidden, charVoc, false),
+	)
 	unroll := func(inLen, outLen int) []Layer {
 		var layers []Layer
-		// Pyramidal encoder: layer l runs ceil(inLen / 2^l) steps and
-		// consumes the concatenation of two lower-layer outputs.
+		// Encoder layer l runs ceil(inLen / 2^l) steps.
 		steps := inLen
-		inDim := featDim
-		for l := 0; l < 3; l++ {
-			for t := 0; t < steps; t++ {
-				// Bidirectional: forward and backward cells.
-				layers = append(layers,
-					NewLSTM(fmt.Sprintf("enc.l%d.fw", l), hidden, inDim),
-					NewLSTM(fmt.Sprintf("enc.l%d.bw", l), hidden, inDim),
-				)
-			}
+		for l := range enc {
+			layers = repeatSteps(layers, enc[l], steps, 0)
 			steps = (steps + 1) / 2
-			inDim = 4 * hidden // concat of 2 timesteps x 2 directions
 		}
-		for t := 0; t < outLen; t++ {
-			layers = lstmStack(layers, "dec", 2, hidden, hidden)
-			layers = append(layers,
-				NewFC("attn", 2*hidden, hidden, true),
-				NewFC("proj", hidden, charVoc, false),
-			)
-		}
-		return layers
+		return repeatSteps(layers, dec, outLen, 0)
 	}
 	return &Model{
 		Name: "RNN-ASR", Class: RNN,

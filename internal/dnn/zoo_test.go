@@ -1,6 +1,8 @@
 package dnn
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -213,5 +215,101 @@ func TestClassString(t *testing.T) {
 	}
 	if Class(7).String() == "" {
 		t.Error("unknown class should render")
+	}
+}
+
+// TestZooBuiltOnce checks that the zoo hands out one shared model per
+// label: ByName, Suite and All return identical pointers across calls.
+func TestZooBuiltOnce(t *testing.T) {
+	all := All()
+	for i, m := range All() {
+		if all[i] != m {
+			t.Errorf("All()[%d] differs across calls", i)
+		}
+		got, err := ByName(m.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _ := ByName(m.Name)
+		if got != m || again != m {
+			t.Errorf("ByName(%q) does not return the shared zoo model", m.Name)
+		}
+	}
+	for i, m := range Suite() {
+		if m != all[i] {
+			t.Errorf("Suite()[%d] is not the shared zoo model", i)
+		}
+	}
+	// The slices are the caller's: editing one leaves the zoo intact.
+	s := Suite()
+	s[0] = nil
+	if Suite()[0] == nil {
+		t.Error("Suite exposes the zoo's own slice")
+	}
+}
+
+// refUnroll is the reference unroll: every timestep's layers built
+// afresh, as the RNN models did before they repeated one prebuilt step.
+// hidden/embed/vocab follow the zoo definitions.
+func refUnroll(name string, inLen, outLen int) []Layer {
+	mt := func(stack, hidden, vocab int) []Layer {
+		var layers []Layer
+		for t := 0; t < inLen; t++ {
+			layers = lstmStack(layers, "enc", stack, hidden, hidden)
+		}
+		for t := 0; t < outLen; t++ {
+			layers = lstmStack(layers, "dec", stack, hidden, hidden)
+			layers = append(layers, NewFC("attn", 2*hidden, hidden, true), NewFC("proj", hidden, vocab, false))
+		}
+		return layers
+	}
+	switch name {
+	case "RNN-SA":
+		var layers []Layer
+		for t := 0; t < inLen; t++ {
+			layers = lstmStack(layers, "enc", 2, 512, 512)
+		}
+		return append(layers, NewFC("cls", 512, 2, false))
+	case "RNN-MT1", "RNN-MT-KO":
+		return mt(2, 768, 16000)
+	case "RNN-MT2":
+		return mt(2, 512, 4096)
+	case "RNN-ASR":
+		var layers []Layer
+		steps, inDim := inLen, 80
+		for l := 0; l < 3; l++ {
+			for t := 0; t < steps; t++ {
+				layers = append(layers,
+					NewLSTM(fmt.Sprintf("enc.l%d.fw", l), 512, inDim),
+					NewLSTM(fmt.Sprintf("enc.l%d.bw", l), 512, inDim))
+			}
+			steps = (steps + 1) / 2
+			inDim = 4 * 512
+		}
+		for t := 0; t < outLen; t++ {
+			layers = lstmStack(layers, "dec", 2, 512, 512)
+			layers = append(layers, NewFC("attn", 1024, 512, true), NewFC("proj", 512, 30, false))
+		}
+		return layers
+	}
+	return nil
+}
+
+// TestRNNUnrollMatchesReference: repeating one prebuilt timestep yields
+// exactly the layer lists built step by step, at every length including
+// empty and negative ones.
+func TestRNNUnrollMatchesReference(t *testing.T) {
+	for _, m := range All() {
+		if !m.IsRNN() {
+			continue
+		}
+		for in := -1; in <= 110; in += 9 {
+			for out := -1; out <= 260; out += 29 {
+				if got, want := m.LayersFor(in, out), refUnroll(m.Name, in, out); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %d/%d: unroll differs from reference (%d vs %d layers)",
+						m.Name, in, out, len(got), len(want))
+				}
+			}
+		}
 	}
 }

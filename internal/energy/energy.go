@@ -87,10 +87,10 @@ func (m Model) Program(cfg npu.Config, p *npu.Program) Breakdown {
 	// share. We instead charge the architectural traffic directly:
 	// weights once, activations in and out per layer.
 	var bytes int64
-	for _, in := range p.Instrs {
-		switch in.Op {
+	for i := range p.Instrs {
+		switch in := &p.Instrs[i]; in.Op {
 		case npu.LoadTile, npu.StoreTile:
-			bytes += int64(float64(in.Cycles) * cfg.BytesPerCycle())
+			bytes += int64(in.Count) * int64(float64(in.Cycles)*cfg.BytesPerCycle())
 		}
 	}
 	// Streaming traffic of GEMM tiles (activations into the array) is

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -228,6 +231,37 @@ func TestCacheByteIdenticalFullSuite(t *testing.T) {
 		t.Errorf("cache saved nothing: cold %d vs cached %d simulations over two sweeps",
 			cold.Simulations(), cached.Simulations())
 	}
+	// Memory budget: the sweeps must fit a commodity host. The peak
+	// resident set of the whole test process so far stays under 1 GiB.
+	if runtime.GOOS == "linux" && !raceEnabled {
+		const budget = 1 << 30
+		hwm := peakRSS(t)
+		t.Logf("peak RSS %d MiB", hwm>>20)
+		if hwm > budget {
+			t.Errorf("peak RSS %d MiB exceeds the %d MiB budget", hwm>>20, budget>>20)
+		}
+	}
+}
+
+// peakRSS reads the process's peak resident set size (VmHWM) from
+// /proc/self/status, in bytes.
+func peakRSS(t *testing.T) int64 {
+	t.Helper()
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(rest), "kB")), 10, 64)
+			if err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+			return kb << 10
+		}
+	}
+	t.Fatal("no VmHWM line in /proc/self/status")
+	return 0
 }
 
 // sanity-check the fingerprint helpers directly.

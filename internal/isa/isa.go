@@ -6,6 +6,10 @@
 // would hold, so compiled programs can be dumped, diffed, stored and
 // reloaded.
 //
+// The binary stream holds one record per committed instruction (tile):
+// Write expands the program's runs, and Read returns one single-tile
+// run per record.
+//
 // Encoding (little endian, 24 bytes per instruction):
 //
 //	byte  0     opcode
@@ -24,6 +28,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/npu"
@@ -51,7 +56,8 @@ func checksum(b []byte) uint32 {
 	return ^sum
 }
 
-// EncodeInstr serializes one instruction.
+// EncodeInstr serializes one instruction: the tile view of in (its op,
+// layer, cycles and live bytes). Expand a run with npu.Instr.Tile first.
 func EncodeInstr(in npu.Instr) [instrSize]byte {
 	var b [instrSize]byte
 	b[0] = byte(in.Op)
@@ -62,7 +68,8 @@ func EncodeInstr(in npu.Instr) [instrSize]byte {
 	return b
 }
 
-// DecodeInstr deserializes one instruction, verifying its checksum.
+// DecodeInstr deserializes one instruction as a single-tile run,
+// verifying its checksum.
 func DecodeInstr(b []byte) (npu.Instr, error) {
 	if len(b) < instrSize {
 		return npu.Instr{}, fmt.Errorf("isa: short instruction (%d bytes)", len(b))
@@ -78,16 +85,21 @@ func DecodeInstr(b []byte) (npu.Instr, error) {
 		Op:        op,
 		Layer:     int32(binary.LittleEndian.Uint32(b[4:8])),
 		Cycles:    int32(binary.LittleEndian.Uint32(b[8:12])),
+		Count:     1,
 		LiveBytes: int64(binary.LittleEndian.Uint64(b[12:20])),
 	}, nil
 }
 
-// Write serializes a full program stream.
+// Write serializes a full program stream, one record per tile.
 func Write(w io.Writer, p *npu.Program) error {
 	var hdr [headerSize]byte
 	copy(hdr[0:4], Magic)
 	binary.LittleEndian.PutUint16(hdr[4:6], Version)
-	binary.LittleEndian.PutUint32(hdr[6:10], uint32(len(p.Instrs)))
+	tiles := p.Tiles()
+	if tiles > math.MaxUint32 {
+		return fmt.Errorf("isa: program has %d instructions, beyond the 32-bit header field", tiles)
+	}
+	binary.LittleEndian.PutUint32(hdr[6:10], uint32(tiles))
 	// Total cycles are clamped into 48 bits (6 bytes) — far beyond any
 	// real program.
 	total := uint64(p.TotalCycles)
@@ -104,10 +116,13 @@ func Write(w io.Writer, p *npu.Program) error {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	for _, in := range p.Instrs {
-		enc := EncodeInstr(in)
-		if _, err := bw.Write(enc[:]); err != nil {
-			return err
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		for j := int32(0); j < in.Count; j++ {
+			enc := EncodeInstr(in.Tile(j))
+			if _, err := bw.Write(enc[:]); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -152,27 +167,29 @@ func Read(r io.Reader) (*npu.Program, error) {
 
 // Disassemble renders a program as readable assembly, one instruction per
 // line, collapsing runs of identical (op, layer) tiles into a repeat
-// count so multi-thousand-tile layers stay scannable.
+// count so multi-thousand-tile layers stay scannable. The header's
+// instrs= count is the expanded instruction (tile) count.
 func Disassemble(p *npu.Program, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "; program %s batch=%d layers=%d instrs=%d total=%d cycles\n",
-		p.Model, p.Batch, p.Layers, len(p.Instrs), p.TotalCycles)
+		p.Model, p.Batch, p.Layers, p.Tiles(), p.TotalCycles)
 	i := 0
 	for i < len(p.Instrs) {
-		in := p.Instrs[i]
+		in := &p.Instrs[i]
 		j := i
-		var runCycles int64
+		var n, runCycles int64
 		for j < len(p.Instrs) && p.Instrs[j].Op == in.Op && p.Instrs[j].Layer == in.Layer {
-			runCycles += int64(p.Instrs[j].Cycles)
+			n += int64(p.Instrs[j].Count)
+			runCycles += p.Instrs[j].RunCycles()
 			j++
 		}
-		n := j - i
 		if n == 1 {
 			fmt.Fprintf(bw, "%-10s layer=%-4d cycles=%-8d live=%d\n",
-				in.Op, in.Layer, in.Cycles, in.LiveBytes)
+				in.Op, in.Layer, in.Cycles, in.LiveAt(0))
 		} else {
+			last := &p.Instrs[j-1]
 			fmt.Fprintf(bw, "%-10s layer=%-4d x%-6d cycles=%-10d live<=%d\n",
-				in.Op, in.Layer, n, runCycles, p.Instrs[j-1].LiveBytes)
+				in.Op, in.Layer, n, runCycles, last.LiveAt(last.Count-1))
 		}
 		i = j
 	}

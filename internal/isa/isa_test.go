@@ -12,7 +12,7 @@ import (
 )
 
 func TestInstrRoundTrip(t *testing.T) {
-	in := npu.Instr{Op: npu.ConvOp, Layer: 42, Cycles: 123456, LiveBytes: 7 << 20}
+	in := npu.Instr{Op: npu.ConvOp, Layer: 42, Cycles: 123456, Count: 1, LiveBytes: 7 << 20}
 	enc := EncodeInstr(in)
 	got, err := DecodeInstr(enc[:])
 	if err != nil {
@@ -59,11 +59,20 @@ func TestProgramStreamRoundTrip(t *testing.T) {
 	if loaded.TotalCycles != prog.TotalCycles {
 		t.Errorf("total cycles %d != %d", loaded.TotalCycles, prog.TotalCycles)
 	}
-	if len(loaded.Instrs) != len(prog.Instrs) {
-		t.Fatalf("instruction count %d != %d", len(loaded.Instrs), len(prog.Instrs))
+	// The stream holds one record per tile: the loaded program is the
+	// compiled one's expansion.
+	var tiles []npu.Instr
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		for j := int32(0); j < in.Count; j++ {
+			tiles = append(tiles, in.Tile(j))
+		}
+	}
+	if len(loaded.Instrs) != len(tiles) {
+		t.Fatalf("instruction count %d != %d", len(loaded.Instrs), len(tiles))
 	}
 	for i := range loaded.Instrs {
-		if loaded.Instrs[i] != prog.Instrs[i] {
+		if loaded.Instrs[i] != tiles[i] {
 			t.Fatalf("instruction %d differs", i)
 		}
 	}
@@ -117,9 +126,9 @@ func TestDisassembleCollapsesTileRuns(t *testing.T) {
 		t.Error("tile runs should be collapsed with repeat counts")
 	}
 	lines := strings.Count(text, "\n")
-	if lines >= len(prog.Instrs) {
+	if int64(lines) >= prog.Tiles() {
 		t.Errorf("disassembly (%d lines) should be far shorter than %d instructions",
-			lines, len(prog.Instrs))
+			lines, prog.Tiles())
 	}
 }
 
@@ -146,6 +155,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			Op:        npu.Op(op % 5),
 			Layer:     abs32(layer),
 			Cycles:    abs32(cycles),
+			Count:     1,
 			LiveBytes: abs64(live),
 		}
 		enc := EncodeInstr(in)

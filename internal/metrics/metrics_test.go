@@ -12,7 +12,7 @@ import (
 // turnaround.
 func doneTask(id int, prio sched.Priority, isolated, turnaround int64) *sched.Task {
 	prog := &npu.Program{Model: "m", Batch: 1, TotalCycles: isolated,
-		Instrs: []npu.Instr{{Op: npu.GEMMOp, Cycles: int32(isolated)}}}
+		Instrs: []npu.Instr{{Op: npu.GEMMOp, Cycles: int32(isolated), Count: 1}}}
 	exec := npu.NewExecution(prog)
 	t := sched.NewTask(id, "m", 1, prio, 0, exec, isolated)
 	t.MarkRunning(0)

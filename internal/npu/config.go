@@ -7,6 +7,13 @@
 // representation produced by internal/compiler, and the Execution cursor
 // that the multi-task simulator advances, preempts, checkpoints and
 // resumes.
+//
+// A Program stores its stream as runs: each Instr record covers Count
+// consecutive tiles that share an opcode, a layer and a latency, with a
+// Ramp that reproduces every tile's live context exactly. The Execution
+// cursor walks runs in O(1) per run, and may execute a program at a
+// speed factor (ceil(cycles×factor) per tile) so slowed hardware shares
+// the nominal program.
 package npu
 
 import (

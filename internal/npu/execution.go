@@ -1,6 +1,9 @@
 package npu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Execution is a resumable cursor over a compiled Program. The multi-task
 // simulator advances it by cycle budgets, interrogates it for the next
@@ -8,44 +11,91 @@ import "fmt"
 // checkpointable live state, and resets it when the KILL mechanism discards
 // in-flight work.
 //
+// The cursor walks the program's runs: it skips whole tiles of a run
+// with one divide, and every query is O(1) per run. An Execution may run
+// its program at a speed factor (NewScaledExecution): each tile then
+// takes ceil(cycles×factor), so a slowed backend shares the nominal
+// program instead of copying it.
+//
 // The zero value is not usable; construct with NewExecution.
 type Execution struct {
-	prog *Program
-	pc   int   // index of the instruction currently in flight
-	rem  int64 // cycles remaining in the in-flight instruction
-	done int64 // cycles executed so far
+	prog   *Program
+	factor float64 // service-time multiplier; 1 = nominal speed
+	total  int64   // isolated cycles at this factor
+	pc     int     // run in flight
+	tile   int32   // tile of run pc in flight
+	cyc    int64   // cycles of each tile of run pc at this factor
+	rem    int64   // cycles remaining in the in-flight tile
+	done   int64   // cycles executed so far
 }
 
 // NewExecution returns a cursor positioned at the start of prog.
 func NewExecution(prog *Program) *Execution {
-	e := &Execution{prog: prog}
-	e.reset()
+	e := &Execution{prog: prog, factor: 1, total: prog.TotalCycles}
+	e.seek(0)
 	return e
 }
 
-func (e *Execution) reset() {
-	e.pc = 0
-	e.done = 0
-	e.rem = 0
-	if len(e.prog.Instrs) > 0 {
-		e.rem = int64(e.prog.Instrs[0].Cycles)
+// NewScaledExecution returns a cursor that executes prog at factor×
+// its nominal service time: every tile takes ceil(cycles×factor) cycles,
+// saturating at the largest int32 latency like the compiler's clamp.
+// factor must be finite and at least 1.
+func NewScaledExecution(prog *Program, factor float64) *Execution {
+	if !(factor >= 1) || math.IsInf(factor, 1) {
+		panic(fmt.Sprintf("npu: speed factor %v is not a finite number >= 1", factor))
 	}
-	e.skipZero()
+	e := NewExecution(prog)
+	if factor != 1 {
+		e.factor, e.total = factor, 0
+		for i := range prog.Instrs {
+			e.total += int64(prog.Instrs[i].Count) * e.scaled(i)
+		}
+		e.seek(0)
+	}
+	return e
 }
 
-// skipZero advances past zero-latency instructions so the cursor always
-// rests on work (or the end of the program).
-func (e *Execution) skipZero() {
-	for e.pc < len(e.prog.Instrs) && e.rem == 0 {
-		e.pc++
-		if e.pc < len(e.prog.Instrs) {
-			e.rem = int64(e.prog.Instrs[e.pc].Cycles)
+// scaled returns the per-tile cycles of run i at the execution's factor.
+func (e *Execution) scaled(i int) int64 {
+	c := int64(e.prog.Instrs[i].Cycles)
+	if e.factor == 1 {
+		return c
+	}
+	s := math.Ceil(float64(c) * e.factor)
+	if s > math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int64(s)
+}
+
+func (e *Execution) reset() {
+	e.done = 0
+	e.seek(0)
+}
+
+// seek positions the cursor at the first tile of run i, then past any
+// zero-latency runs so the cursor always rests on work (or the end of
+// the program).
+func (e *Execution) seek(i int) {
+	e.tile = 0
+	for ; i < len(e.prog.Instrs); i++ {
+		if e.cyc = e.scaled(i); e.cyc > 0 && e.prog.Instrs[i].Count > 0 {
+			break
 		}
 	}
+	e.pc = i
+	e.rem = e.cyc
 }
 
 // Program returns the program being executed.
 func (e *Execution) Program() *Program { return e.prog }
+
+// Factor returns the execution's speed factor (1 = nominal).
+func (e *Execution) Factor() float64 { return e.factor }
+
+// TotalCycles returns the isolated, uninterrupted execution time at the
+// execution's speed factor.
+func (e *Execution) TotalCycles() int64 { return e.total }
 
 // Done reports whether the program has fully committed.
 func (e *Execution) Done() bool { return e.pc >= len(e.prog.Instrs) }
@@ -54,7 +104,7 @@ func (e *Execution) Done() bool { return e.pc >= len(e.prog.Instrs) }
 func (e *Execution) Executed() int64 { return e.done }
 
 // Remaining returns the cycles left until completion.
-func (e *Execution) Remaining() int64 { return e.prog.TotalCycles - e.done }
+func (e *Execution) Remaining() int64 { return e.total - e.done }
 
 // Advance executes up to budget cycles and returns the cycles actually
 // consumed (less than budget only when the program completes first). It
@@ -64,24 +114,28 @@ func (e *Execution) Advance(budget int64) int64 {
 	if budget < 0 {
 		panic(fmt.Sprintf("npu: negative advance budget %d", budget))
 	}
-	var used int64
+	used := budget
 	for budget > 0 && !e.Done() {
-		step := e.rem
-		if step > budget {
-			step = budget
+		if budget < e.rem {
+			e.rem -= budget
+			budget = 0
+			break
 		}
-		e.rem -= step
-		e.done += step
-		used += step
-		budget -= step
-		if e.rem == 0 {
-			e.pc++
-			if e.pc < len(e.prog.Instrs) {
-				e.rem = int64(e.prog.Instrs[e.pc].Cycles)
-			}
-			e.skipZero()
+		// Commit the in-flight tile, then the rest of the run if the
+		// budget covers it, else as many whole tiles as it does.
+		budget -= e.rem
+		if rest := int64(e.prog.Instrs[e.pc].Count-e.tile-1) * e.cyc; budget >= rest {
+			budget -= rest
+			e.seek(e.pc + 1)
+			continue
 		}
+		whole := budget / e.cyc
+		budget -= whole * e.cyc
+		e.tile += int32(whole) + 1
+		e.rem = e.cyc
 	}
+	used -= budget
+	e.done += used
 	return used
 }
 
@@ -91,10 +145,7 @@ func (e *Execution) Advance(budget int64) int64 {
 // Section IV-C). Zero when the cursor already rests on a boundary or the
 // program is done.
 func (e *Execution) CyclesToBoundary() int64 {
-	if e.Done() {
-		return 0
-	}
-	if e.rem == int64(e.prog.Instrs[e.pc].Cycles) {
+	if e.Done() || e.rem == e.cyc {
 		// Nothing of the in-flight instruction has executed yet: the
 		// cursor is exactly on a commit boundary.
 		return 0
@@ -107,17 +158,16 @@ func (e *Execution) CyclesToBoundary() int64 {
 // (CyclesToBoundary() == 0) before checkpointing; LiveBytes tolerates
 // mid-instruction cursors by reporting the previously committed state.
 func (e *Execution) LiveBytes() int64 {
-	idx := e.pc
-	if !e.Done() && e.rem < int64(e.prog.Instrs[e.pc].Cycles) {
-		// In-flight instruction has partially executed; its commit
-		// state is not yet architecturally visible.
-		idx = e.pc
+	if e.tile > 0 {
+		return e.prog.Instrs[e.pc].LiveAt(e.tile - 1)
 	}
-	// The state after the previous commit is attached to instrs[pc-1].
-	if idx == 0 {
+	// The state after the previous commit is the last tile of the
+	// previous run (zero-latency runs included).
+	if e.pc == 0 {
 		return 0
 	}
-	return e.prog.Instrs[idx-1].LiveBytes
+	prev := &e.prog.Instrs[e.pc-1]
+	return prev.LiveAt(prev.Count - 1)
 }
 
 // Kill discards all progress: the KILL preemption mechanism terminates the
@@ -140,25 +190,23 @@ func (e *Execution) KillToLayerStart() (wasted int64) {
 	for start > 0 && e.prog.Instrs[start-1].Layer == layer {
 		start--
 	}
-	// Cycles completed within the layer: full instructions since start
-	// plus the partially executed one.
+	// Cycles completed within the layer: whole runs since start, whole
+	// tiles of the run in flight, and the partially executed tile.
 	for i := start; i < e.pc; i++ {
-		wasted += int64(e.prog.Instrs[i].Cycles)
+		wasted += int64(e.prog.Instrs[i].Count) * e.scaled(i)
 	}
-	wasted += int64(e.prog.Instrs[e.pc].Cycles) - e.rem
-	e.pc = start
+	wasted += int64(e.tile)*e.cyc + e.cyc - e.rem
 	e.done -= wasted
-	e.rem = int64(e.prog.Instrs[start].Cycles)
-	e.skipZero()
+	e.seek(start)
 	return wasted
 }
 
 // Progress returns the executed fraction in [0,1].
 func (e *Execution) Progress() float64 {
-	if e.prog.TotalCycles == 0 {
+	if e.total == 0 {
 		return 1
 	}
-	return float64(e.done) / float64(e.prog.TotalCycles)
+	return float64(e.done) / float64(e.total)
 }
 
 // CurrentLayer returns the layer index of the in-flight instruction, or -1

@@ -120,7 +120,7 @@ func testProgram(cycles ...int32) *Program {
 	p := &Program{Model: "test", Batch: 1}
 	for i, c := range cycles {
 		p.Instrs = append(p.Instrs, Instr{
-			Op: GEMMOp, Layer: int32(i), Cycles: c, LiveBytes: int64(i) * 100,
+			Op: GEMMOp, Layer: int32(i), Cycles: c, Count: 1, LiveBytes: int64(i) * 100,
 		})
 		p.TotalCycles += int64(c)
 	}
@@ -148,6 +148,46 @@ func TestProgramValidate(t *testing.T) {
 	neg.Instrs[0].LiveBytes = -1
 	if err := neg.Validate(); err == nil {
 		t.Error("negative live bytes should fail validation")
+	}
+	empty = testProgram(10)
+	empty.Instrs[0].Count = 0
+	empty.TotalCycles = 0
+	if err := empty.Validate(); err == nil {
+		t.Error("a zero-tile run should fail validation")
+	}
+	over := testProgram(10)
+	over.Instrs[0].Count = 3
+	over.Instrs[0].Ramp = Ramp{Out: 10, Cap: 100, First: 2, Total: 3}
+	over.TotalCycles = 30
+	if err := over.Validate(); err == nil {
+		t.Error("a run overrunning its ramp should fail validation")
+	}
+	over.Instrs[0].Ramp.First = 1
+	if err := over.Validate(); err != nil {
+		t.Errorf("a run covering its whole ramp should validate: %v", err)
+	}
+}
+
+func TestRunLiveBytes(t *testing.T) {
+	in := Instr{Op: GEMMOp, Cycles: 5, Count: 4, LiveBytes: 100,
+		Ramp: Ramp{Out: 1000, Cap: 700, First: 3, Total: 6}}
+	// Tiles 3..6 of 6 have produced 500, 666, 833 and 1000 bytes; the
+	// context is capped at 700.
+	for j, want := range []int64{600, 700, 700, 700} {
+		if got := in.LiveAt(int32(j)); got != want {
+			t.Errorf("LiveAt(%d) = %d, want %d", j, got, want)
+		}
+		if tile := in.Tile(int32(j)); tile.Count != 1 || tile.LiveBytes != want || tile.Ramp != (Ramp{}) {
+			t.Errorf("Tile(%d) = %+v", j, tile)
+		}
+	}
+	flat := Instr{Op: VectorOp, Cycles: 5, Count: 3, LiveBytes: 42}
+	if flat.LiveAt(2) != 42 || flat.RunCycles() != 15 {
+		t.Errorf("flat run: live %d cycles %d", flat.LiveAt(2), flat.RunCycles())
+	}
+	p := &Program{Model: "r", Instrs: []Instr{in, flat}, TotalCycles: 35}
+	if p.MaxLiveBytes() != 700 || p.Tiles() != 7 {
+		t.Errorf("MaxLiveBytes %d, Tiles %d", p.MaxLiveBytes(), p.Tiles())
 	}
 }
 
@@ -206,10 +246,10 @@ func TestExecutionKill(t *testing.T) {
 
 func TestExecutionSkipsZeroCycleInstrs(t *testing.T) {
 	p := &Program{Model: "z", Batch: 1, Instrs: []Instr{
-		{Op: LoadTile, Cycles: 0},
-		{Op: GEMMOp, Cycles: 10},
-		{Op: VectorOp, Cycles: 0},
-		{Op: GEMMOp, Cycles: 5},
+		{Op: LoadTile, Cycles: 0, Count: 1},
+		{Op: GEMMOp, Cycles: 10, Count: 1},
+		{Op: VectorOp, Cycles: 0, Count: 1},
+		{Op: GEMMOp, Cycles: 5, Count: 1},
 	}, TotalCycles: 15}
 	e := NewExecution(p)
 	if e.CurrentLayer() != 0 {
@@ -287,10 +327,10 @@ func TestBoundaryProperty(t *testing.T) {
 
 func TestKillToLayerStart(t *testing.T) {
 	p := &Program{Model: "kl", Batch: 1, Instrs: []Instr{
-		{Op: GEMMOp, Layer: 0, Cycles: 100},
-		{Op: GEMMOp, Layer: 0, Cycles: 100},
-		{Op: GEMMOp, Layer: 1, Cycles: 100},
-		{Op: GEMMOp, Layer: 1, Cycles: 100},
+		{Op: GEMMOp, Layer: 0, Cycles: 100, Count: 1},
+		{Op: GEMMOp, Layer: 0, Cycles: 100, Count: 1},
+		{Op: GEMMOp, Layer: 1, Cycles: 100, Count: 1},
+		{Op: GEMMOp, Layer: 1, Cycles: 100, Count: 1},
 	}, TotalCycles: 400}
 	e := NewExecution(p)
 	e.Advance(250) // 50 cycles into layer 1's first instruction

@@ -34,24 +34,77 @@ func (o Op) String() string {
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
-// Instr is one committed instruction with its effective latency
-// contribution under the double-buffered dataflow.
+// Instr is a run of Count consecutive committed instructions — tiles —
+// that share an opcode, a layer and an effective latency. PREMA's timing
+// model (Algorithm 1) tiles every GEMM into weight tiles of identical
+// latency and its preemption points sit on tile boundaries (footnote 2),
+// so a layer lowers to a handful of runs rather than one record per tile.
+// Every tile of a run is still a separate commit and preemption point;
+// Tile expands one of them.
 type Instr struct {
 	// Op is the ISA opcode.
 	Op Op
 	// Layer indexes the instantiated layer list the program was
 	// compiled from.
 	Layer int32
-	// Cycles is the instruction's effective latency: for GEMM_OP and
+	// Cycles is each tile's effective latency: for GEMM_OP and
 	// CONV_OP tiles this is max(compute, memory) per Algorithm 1's
 	// double-buffering model.
 	Cycles int32
+	// Count is the number of tiles in the run (at least 1).
+	Count int32
 	// LiveBytes is the checkpointable on-chip context (output
-	// activations resident in UBUF/ACCQ, Section IV-B) immediately
-	// after this instruction commits. Preemption via CHECKPOINT at
-	// this boundary must persist exactly these bytes.
+	// activations resident in UBUF/ACCQ, Section IV-B) after each tile
+	// of the run commits — or, when Ramp is set, the resident input
+	// bytes the ramp's produced output adds to. Preemption via
+	// CHECKPOINT at a tile boundary must persist exactly the tile's
+	// live bytes (LiveAt).
 	LiveBytes int64
+	// Ramp, when its Total is non-zero, makes the live context grow
+	// tile by tile as the layer produces its output.
+	Ramp Ramp
 }
+
+// Ramp is the live-context progression of a layer's tiles: after the
+// i-th of Total tiles (1-based) commits, the layer has produced
+// int64(float64(Out)*float64(i)/float64(Total)) output bytes, and the
+// live context is the run's LiveBytes plus that, capped at Cap.
+type Ramp struct {
+	// Out is the output bytes the whole ramp produces.
+	Out int64
+	// Cap bounds the live context (the UBUF capacity: activations
+	// beyond it stream through DRAM and need no checkpointing).
+	Cap int64
+	// First is the 1-based ramp index of the run's first tile.
+	First int32
+	// Total is the number of tiles in the whole ramp; zero means the
+	// run's live context is flat.
+	Total int32
+}
+
+// LiveAt returns the checkpointable context after tile j (0-based) of
+// the run commits.
+func (in *Instr) LiveAt(j int32) int64 {
+	r := &in.Ramp
+	if r.Total == 0 {
+		return in.LiveBytes
+	}
+	live := in.LiveBytes + int64(float64(r.Out)*float64(r.First+j)/float64(r.Total))
+	if live > r.Cap {
+		live = r.Cap
+	}
+	return live
+}
+
+// Tile returns tile j (0-based) of the run as a single-tile record with
+// its own live context — the per-instruction view the binary encoding
+// and the disassembler's single-instruction lines use.
+func (in *Instr) Tile(j int32) Instr {
+	return Instr{Op: in.Op, Layer: in.Layer, Cycles: in.Cycles, Count: 1, LiveBytes: in.LiveAt(j)}
+}
+
+// RunCycles returns the cycles of the whole run.
+func (in *Instr) RunCycles() int64 { return int64(in.Count) * int64(in.Cycles) }
 
 // Program is a compiled instruction stream for one inference task
 // instance, together with summary statistics the scheduler and the
@@ -64,7 +117,8 @@ type Program struct {
 	// InLen and OutLen are the sequence lengths of an RNN instance
 	// (zero for CNNs).
 	InLen, OutLen int
-	// Instrs is the committed instruction stream.
+	// Instrs is the committed instruction stream as runs of identical
+	// tiles.
 	Instrs []Instr
 	// TotalCycles is the isolated, uninterrupted execution time.
 	TotalCycles int64
@@ -74,21 +128,29 @@ type Program struct {
 	Layers int
 }
 
-// Validate checks program invariants: positive latencies, non-negative
-// live state, and a consistent total.
+// Validate checks program invariants: non-empty runs, non-negative
+// latencies and live state, well-formed ramps, and a consistent total.
 func (p *Program) Validate() error {
 	if len(p.Instrs) == 0 {
 		return fmt.Errorf("npu: program %q has no instructions", p.Model)
 	}
 	var sum int64
-	for i, in := range p.Instrs {
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		if in.Count < 1 {
+			return fmt.Errorf("npu: program %q run %d has tile count %d", p.Model, i, in.Count)
+		}
 		if in.Cycles < 0 {
-			return fmt.Errorf("npu: program %q instr %d has negative cycles", p.Model, i)
+			return fmt.Errorf("npu: program %q run %d has negative cycles", p.Model, i)
 		}
 		if in.LiveBytes < 0 {
-			return fmt.Errorf("npu: program %q instr %d has negative live bytes", p.Model, i)
+			return fmt.Errorf("npu: program %q run %d has negative live bytes", p.Model, i)
 		}
-		sum += int64(in.Cycles)
+		if r := in.Ramp; r.Total != 0 &&
+			(r.Out < 0 || r.Cap < 0 || r.First < 1 || int64(r.First)+int64(in.Count)-1 > int64(r.Total)) {
+			return fmt.Errorf("npu: program %q run %d has a malformed live ramp %+v", p.Model, i, r)
+		}
+		sum += in.RunCycles()
 	}
 	if sum != p.TotalCycles {
 		return fmt.Errorf("npu: program %q total %d != instruction sum %d",
@@ -98,13 +160,25 @@ func (p *Program) Validate() error {
 }
 
 // MaxLiveBytes returns the largest checkpointable context across all
-// preemption points of the program.
+// preemption points of the program. A ramp never shrinks, so each run's
+// largest context is its last tile's.
 func (p *Program) MaxLiveBytes() int64 {
 	var max int64
-	for _, in := range p.Instrs {
-		if in.LiveBytes > max {
-			max = in.LiveBytes
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		if live := in.LiveAt(in.Count - 1); live > max {
+			max = live
 		}
 	}
 	return max
+}
+
+// Tiles returns the number of committed instructions (tiles) the
+// program expands to.
+func (p *Program) Tiles() int64 {
+	var n int64
+	for i := range p.Instrs {
+		n += int64(p.Instrs[i].Count)
+	}
+	return n
 }

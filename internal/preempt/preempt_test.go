@@ -13,7 +13,7 @@ func testProgram(cycles []int32, live []int64) *npu.Program {
 		if i < len(live) {
 			lb = live[i]
 		}
-		p.Instrs = append(p.Instrs, npu.Instr{Op: npu.GEMMOp, Layer: 0, Cycles: c, LiveBytes: lb})
+		p.Instrs = append(p.Instrs, npu.Instr{Op: npu.GEMMOp, Layer: 0, Cycles: c, Count: 1, LiveBytes: lb})
 		p.TotalCycles += int64(c)
 	}
 	return p
@@ -144,9 +144,9 @@ func TestContextTableBits(t *testing.T) {
 func TestApplyKillLayer(t *testing.T) {
 	cfg := npu.DefaultConfig()
 	p := &npu.Program{Model: "kl", Batch: 1, Instrs: []npu.Instr{
-		{Op: npu.GEMMOp, Layer: 0, Cycles: 100},
-		{Op: npu.GEMMOp, Layer: 1, Cycles: 100},
-		{Op: npu.GEMMOp, Layer: 1, Cycles: 100},
+		{Op: npu.GEMMOp, Layer: 0, Cycles: 100, Count: 1},
+		{Op: npu.GEMMOp, Layer: 1, Cycles: 100, Count: 1},
+		{Op: npu.GEMMOp, Layer: 1, Cycles: 100, Count: 1},
 	}, TotalCycles: 300}
 	exec := npu.NewExecution(p)
 	exec.Advance(250) // 150 cycles into layer 1
@@ -169,8 +169,8 @@ func TestKillLayerWastesLessThanKill(t *testing.T) {
 	cfg := npu.DefaultConfig()
 	build := func() *npu.Execution {
 		p := &npu.Program{Model: "x", Batch: 1, Instrs: []npu.Instr{
-			{Op: npu.GEMMOp, Layer: 0, Cycles: 1000},
-			{Op: npu.GEMMOp, Layer: 1, Cycles: 1000},
+			{Op: npu.GEMMOp, Layer: 0, Cycles: 1000, Count: 1},
+			{Op: npu.GEMMOp, Layer: 1, Cycles: 1000, Count: 1},
 		}, TotalCycles: 2000}
 		e := npu.NewExecution(p)
 		e.Advance(1500)

@@ -205,20 +205,5 @@ func validateEvent(e Event) error {
 	if e.At < 0 {
 		return fmt.Errorf("negative time %v", e.At)
 	}
-	if e.Op.NPU < 0 {
-		return fmt.Errorf("negative NPU index %d", e.Op.NPU)
-	}
-	switch e.Op.Kind {
-	case serving.SlowNPU:
-		if e.Op.Factor <= 1 {
-			return fmt.Errorf("slowdown factor must exceed 1, got %v", e.Op.Factor)
-		}
-	case serving.FailNPU, serving.RestoreNPU, serving.CordonNPU, serving.UncordonNPU:
-		if e.Op.Factor != 0 {
-			return fmt.Errorf("factor %v set on a %s operation", e.Op.Factor, e.Op.Kind)
-		}
-	default:
-		return fmt.Errorf("unknown operation kind %d", int(e.Op.Kind))
-	}
-	return nil
+	return e.Op.Validate()
 }

@@ -18,7 +18,7 @@ func makeTask(id int, prio Priority, arrival, totalCycles int64) *Task {
 		if c > chunk {
 			c = chunk
 		}
-		prog.Instrs = append(prog.Instrs, npu.Instr{Op: npu.GEMMOp, Cycles: int32(c)})
+		prog.Instrs = append(prog.Instrs, npu.Instr{Op: npu.GEMMOp, Cycles: int32(c), Count: 1})
 		remaining -= c
 	}
 	exec := npu.NewExecution(prog)

@@ -143,7 +143,7 @@ func NewTask(id int, model string, batch int, prio Priority, arrival int64, exec
 		Priority:        prio,
 		Arrival:         arrival,
 		EstimatedCycles: estimated,
-		IsolatedCycles:  exec.Program().TotalCycles,
+		IsolatedCycles:  exec.TotalCycles(),
 		Exec:            exec,
 		Token:           prio.Tokens(),
 		State:           Waiting,

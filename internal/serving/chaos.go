@@ -18,13 +18,14 @@ package serving
 //     and recovers toward the SLO.
 //   - slowdown/restore: a slowed backend serves work routed to it
 //     during the slow window at factor× its nominal service time — the
-//     request's compiled program is stretched instruction-by-
-//     instruction and its estimate scales with it, so the fluid router
-//     state, the scaler's latency signal and the realized simulation
-//     all see the degradation consistently. Work already queued before
-//     the slowdown keeps its nominal speed (the approximation a
-//     per-backend offline simulation affords); a reclaimed request
-//     sheds any stretch when it is re-routed off a slowed backend.
+//     request executes its shared compiled program at that speed factor
+//     (every tile takes ceil(cycles×factor)) and its estimate scales
+//     with it, so the fluid router state, the scaler's latency signal
+//     and the realized simulation all see the degradation
+//     consistently. Work already queued before the slowdown keeps its
+//     nominal speed (the approximation a per-backend offline
+//     simulation affords); a reclaimed request sheds any stretch when
+//     it is re-routed off a slowed backend.
 //   - cordon/uncordon: the backend leaves rotation reversibly — its
 //     routed work drains, nothing new lands on it, and no scale-down
 //     credit is taken (the slot still counts against MaxNPUs).
@@ -92,8 +93,46 @@ type NodeOp struct {
 	// fleet is 0..NPUs-1, scale-ups append).
 	NPU int
 	// Factor is the service-time multiplier of a SlowNPU operation
-	// (> 1); it must be zero for every other kind.
+	// (in (1, MaxFactor]); it must be zero for every other kind.
 	Factor float64
+}
+
+// MaxFactor is the largest service-time factor a node applies: a chaos
+// slowdown, a fleet tier's derate, or the two stacked. A factor of 1000
+// already turns a millisecond inference into a second.
+const MaxFactor = 1000
+
+// CheckFactor is the one gate every service-time factor passes — ctl
+// slow, scenario slowdown and fleet @factor all reach it. It rejects NaN,
+// infinities and factors outside [1, MaxFactor], so no accepted factor
+// can wrap a tile's latency or stall the simulator.
+func CheckFactor(f float64) error {
+	if !(f >= 1 && f <= MaxFactor) {
+		return fmt.Errorf("speed factor %v is not a finite number in [1, %d]", f, MaxFactor)
+	}
+	return nil
+}
+
+// Validate checks the operation's statically checkable invariants;
+// state-dependent ones (failing an already-failed NPU, cordoning the
+// last active backend) surface when the operation fires.
+func (op NodeOp) Validate() error {
+	if op.NPU < 0 {
+		return fmt.Errorf("negative NPU index %d", op.NPU)
+	}
+	switch op.Kind {
+	case SlowNPU:
+		if err := CheckFactor(op.Factor); err != nil || op.Factor == 1 {
+			return fmt.Errorf("slowdown factor must exceed 1 and be at most %d, got %v", MaxFactor, op.Factor)
+		}
+	case FailNPU, RestoreNPU, CordonNPU, UncordonNPU:
+		if op.Factor != 0 {
+			return fmt.Errorf("factor %v set on a %s operation", op.Factor, op.Kind)
+		}
+	default:
+		return fmt.Errorf("unknown operation kind %d", int(op.Kind))
+	}
+	return nil
 }
 
 // NodeEvent is one entry of the node's fleet timeline: the start
@@ -156,20 +195,8 @@ func (ns *NodeSession) ScheduleCycle(at int64, op NodeOp) error {
 		return fmt.Errorf("serving: operation at cycle %d is in the past (stream clock at %d)",
 			at, ns.lastArrival)
 	}
-	if op.NPU < 0 {
-		return fmt.Errorf("serving: negative NPU index %d", op.NPU)
-	}
-	switch op.Kind {
-	case SlowNPU:
-		if op.Factor <= 1 {
-			return fmt.Errorf("serving: slowdown factor must exceed 1, got %v", op.Factor)
-		}
-	case FailNPU, RestoreNPU, CordonNPU, UncordonNPU:
-		if op.Factor != 0 {
-			return fmt.Errorf("serving: factor %v set on a %s operation", op.Factor, op.Kind)
-		}
-	default:
-		return fmt.Errorf("serving: unknown operation kind %d", int(op.Kind))
+	if err := op.Validate(); err != nil {
+		return fmt.Errorf("serving: %w", err)
 	}
 	if op.Kind == FailNPU {
 		// Failure reclaim needs the task behind every fluid horizon.
@@ -291,6 +318,9 @@ func (ns *NodeSession) apply(o nodeOp) error {
 		if ns.speed[i] != ns.baseSpeed[i] {
 			return fmt.Errorf("NPU already slowed x%g; restore it first", ns.speed[i]/ns.baseSpeed[i])
 		}
+		if err := CheckFactor(ns.baseSpeed[i] * o.op.Factor); err != nil {
+			return fmt.Errorf("x%g on a x%g tier: %w", o.op.Factor, ns.baseSpeed[i], err)
+		}
 		ns.speed[i] = ns.baseSpeed[i] * o.op.Factor
 		ns.record(o.at, "slowdown", i, 0, fmt.Sprintf("x%g", o.op.Factor))
 	case RestoreNPU:
@@ -370,36 +400,19 @@ func rearrive(t *workload.Task, at int64) *workload.Task {
 	}
 }
 
-// stretchKey caches stretched programs per (program, factor): a slow
-// window routes many requests of the same few model instances, and
-// stretching compiles nothing, so the copies are shared.
-type stretchKey struct {
-	prog   *npu.Program
-	factor float64
-}
-
-// stretched returns the slowed-down instance of a routed template: its
-// compiled program stretched instruction-by-instruction to factor× the
-// nominal cycles, and its estimate scaled to match, so scheduler,
-// fluid router state and realized simulation agree on the degradation.
+// stretched returns the slowed-down instance of a routed template: it
+// shares the template's compiled program but executes it at factor× the
+// nominal cycles, and its estimate scales to match, so scheduler, fluid
+// router state and realized simulation agree on the degradation.
 func (ns *NodeSession) stretched(t *workload.Task, factor float64) *workload.Task {
-	key := stretchKey{prog: t.Program, factor: factor}
-	sp, ok := ns.stretchCache[key]
-	if !ok {
-		sp = stretchProgram(t.Program, factor)
-		if ns.stretchCache == nil {
-			ns.stretchCache = map[stretchKey]*npu.Program{}
-		}
-		ns.stretchCache[key] = sp
-	}
 	est := int64(float64(t.EstimatedCycles) * factor)
 	st := sched.NewTask(t.ID, t.Model, t.Batch, t.Priority, t.Arrival,
-		npu.NewExecution(sp), est)
+		npu.NewScaledExecution(t.Program, factor), est)
 	out := &workload.Task{
 		Task:     st,
 		ModelRef: t.ModelRef,
 		InLen:    t.InLen, ActualOut: t.ActualOut, PredictedOut: t.PredictedOut,
-		Program: sp,
+		Program: t.Program,
 		TraceID: t.TraceID,
 	}
 	if ns.stretchOrig == nil {
@@ -407,26 +420,6 @@ func (ns *NodeSession) stretched(t *workload.Task, factor float64) *workload.Tas
 	}
 	ns.stretchOrig[out] = t
 	return out
-}
-
-// stretchProgram scales every instruction latency by factor (ceiling,
-// so no instruction loses work to rounding) and rebuilds the totals.
-func stretchProgram(p *npu.Program, factor float64) *npu.Program {
-	instrs := make([]npu.Instr, len(p.Instrs))
-	var total int64
-	for i, in := range p.Instrs {
-		in.Cycles = int32(math.Ceil(float64(in.Cycles) * factor))
-		instrs[i] = in
-		total += int64(in.Cycles)
-	}
-	return &npu.Program{
-		Model: p.Model, Batch: p.Batch,
-		InLen: p.InLen, OutLen: p.OutLen,
-		Instrs:      instrs,
-		TotalCycles: total,
-		TotalMACs:   p.TotalMACs,
-		Layers:      p.Layers,
-	}
 }
 
 // removeReqs drops the given submitted instances (matched by identity)

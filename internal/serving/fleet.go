@@ -4,8 +4,8 @@ package serving
 // weighted tier template ("70%:fast,30%:slow") partitions the node into
 // hardware classes, each tier running the server's base npu.Config with
 // a derated clock. A slow tier's backends serve every request at
-// factor× the nominal service time through the same program-stretching
-// path chaos slowdowns use, so the scheduler, the fluid router state
+// factor× the nominal service time through the same execution speed
+// factor chaos slowdowns use, so the scheduler, the fluid router state
 // and the realized simulation all agree on the tier's speed — and the
 // speed-aware LeastWork router compares backends in normalized
 // completion time rather than raw backlog. Scale-ups pick which tier to
@@ -30,8 +30,8 @@ type Tier struct {
 	Weight int
 	// NPU is the tier's hardware configuration. It must match the
 	// server's base config in every respect but the clock, which may be
-	// derated (FreqHz at or below the base) — the derate factor is the
-	// tier's service-time multiplier.
+	// derated (FreqHz at or below the base, down to base/MaxFactor) — the
+	// derate factor is the tier's service-time multiplier.
 	NPU npu.Config
 }
 
@@ -64,7 +64,7 @@ func builtinTierFactor(name string) (float64, bool) {
 // "50%:fast,50%:ancient@4". The builtin names fast (factor 1) and slow
 // (factor 2) need no explicit factor; any other name requires one.
 // Weights must be positive integers summing to exactly 100, names must
-// be unique, and factors must be at least 1.
+// be unique, and factors must pass CheckFactor.
 func ParseFleetTemplate(spec string) ([]TierSpec, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("serving: empty fleet template")
@@ -90,8 +90,11 @@ func ParseFleetTemplate(spec string) ([]TierSpec, error) {
 		switch {
 		case hasFactor:
 			factor, err = strconv.ParseFloat(factorStr, 64)
-			if err != nil || factor < 1 {
-				return nil, fmt.Errorf("serving: fleet tier %q: factor must be a number >= 1", entry)
+			if err == nil {
+				err = CheckFactor(factor)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("serving: fleet tier %q: factor must be a finite number in [1, %d]", entry, MaxFactor)
 			}
 		default:
 			var known bool
@@ -148,9 +151,9 @@ func fleetSpeeds(tiers []Tier, base npu.Config) ([]float64, error) {
 		if tier.Weight <= 0 {
 			return nil, fmt.Errorf("serving: fleet tier %q has non-positive weight %d", tier.Name, tier.Weight)
 		}
-		if tier.NPU.FreqHz <= 0 || tier.NPU.FreqHz > base.FreqHz {
-			return nil, fmt.Errorf("serving: fleet tier %q clock %.0fHz outside (0, base %.0fHz]",
-				tier.Name, tier.NPU.FreqHz, base.FreqHz)
+		if !(tier.NPU.FreqHz >= base.FreqHz/MaxFactor && tier.NPU.FreqHz <= base.FreqHz) {
+			return nil, fmt.Errorf("serving: fleet tier %q clock %.0fHz outside [base/%d, base %.0fHz]",
+				tier.Name, tier.NPU.FreqHz, MaxFactor, base.FreqHz)
 		}
 		norm := tier.NPU
 		norm.FreqHz = base.FreqHz

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
-	"repro/internal/npu"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -130,11 +129,9 @@ type NodeSession struct {
 	tierSpeed   []float64
 	tierWeights []int
 	tierActive  []int
-	// stretchCache shares stretched program copies per (program,
-	// factor); stretchOrig maps a stretched instance back to its
-	// nominal template so failure reclaim can shed the slowdown.
-	stretchCache map[stretchKey]*npu.Program
-	stretchOrig  map[*workload.Task]*workload.Task
+	// stretchOrig maps a stretched instance back to its nominal
+	// template so failure reclaim can shed the slowdown.
+	stretchOrig map[*workload.Task]*workload.Task
 
 	// estRing is a fixed ring of the most recent fluid latency
 	// estimates (ms) routed through the node — the control plane's

@@ -227,10 +227,10 @@ func (ss *Session) cut() int64 {
 }
 
 // materialize builds a fresh simulatable instance from a submitted
-// template: a new execution cursor and a new scheduler entry, re-stamped
-// with the submission index as its ID.
+// template: a new execution cursor at the template's speed factor and a
+// new scheduler entry, re-stamped with the submission index as its ID.
 func materialize(id int, t *workload.Task) *workload.Task {
-	exec := npu.NewExecution(t.Program)
+	exec := npu.NewScaledExecution(t.Program, t.Exec.Factor())
 	st := sched.NewTask(id, t.Model, t.Batch, t.Priority, t.Arrival, exec, t.EstimatedCycles)
 	return &workload.Task{
 		Task:     st,
