@@ -47,8 +47,10 @@ go test -race -short ./internal/sim/... ./internal/exp/...
 
 # Coverage-guided smoke: exercise the simulator fuzz target's seed
 # corpus plus a short fuzz burst, so invariant regressions surface on
-# every run, not only when someone remembers to fuzz.
+# every run, not only when someone remembers to fuzz. The loop-program
+# cursor gets the same treatment against its per-tile reference.
 go test -fuzz=FuzzSimInvariants -fuzztime=5s -run '^$' ./internal/sim/
+go test -fuzz=FuzzLoopExecution -fuzztime=5s -run '^$' ./internal/npu/
 
 # The examples are the public-API consumers: every one must build and
 # run to completion against the current facade.

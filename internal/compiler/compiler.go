@@ -5,8 +5,12 @@
 // The stream is emitted as runs of identical tiles (npu.Instr with a
 // Count), computed arithmetically from each layer's tiling rather than
 // by walking tiles: a program costs O(runs), and a layer is a few runs.
-// The per-tile stream it expands to is the contract; the package tests
-// keep the per-tile lowering as the reference it must match.
+// An RNN instance's phases (dnn.Phase) become the program's loop table:
+// each step body is lowered once and repeated by count, so a program's
+// size does not depend on the sequence length. The per-tile stream the
+// loops and runs expand to is the contract; the package tests keep the
+// per-tile lowering of the unrolled layer list as the reference it must
+// match.
 //
 // The timing model is the paper's deterministic weight-stationary dataflow
 // (Figure 3, Algorithm 1): every GEMM is tiled into (SW x SH) weight tiles
@@ -49,32 +53,51 @@ func New(cfg npu.Config) (*Compiler, error) {
 func (c *Compiler) Config() npu.Config { return c.cfg }
 
 // Compile lowers a model instance. For CNNs, inLen/outLen are ignored.
+// Each phase of the instance becomes one loop whose body is the phase's
+// step lowered once, with run layers indexed within the step.
 func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("compiler: non-positive batch %d", batch)
-	}
-	layers := m.LayersFor(inLen, outLen)
-	if len(layers) == 0 {
-		return nil, fmt.Errorf("compiler: model %q produced no layers", m.Name)
 	}
 	prog := &npu.Program{
 		Model:  m.Name,
 		Batch:  batch,
 		InLen:  inLen,
 		OutLen: outLen,
-		Layers: len(layers),
 	}
-	for idx, l := range layers {
-		if err := l.Validate(); err != nil {
-			return nil, fmt.Errorf("compiler: %w", err)
+	for _, ph := range m.PhasesFor(inLen, outLen) {
+		if int64(prog.Layers)+int64(ph.Times)*int64(len(ph.Body)) > math.MaxInt32 {
+			return nil, fmt.Errorf("compiler: model %q unrolls beyond the ISA's 32-bit layer index", m.Name)
 		}
-		if err := c.lowerLayer(prog, int32(idx), l, batch); err != nil {
-			return nil, err
+		loop := npu.Loop{
+			Start:  int32(len(prog.Instrs)),
+			Base:   int32(prog.Layers),
+			Layers: int32(len(ph.Body)),
+			Times:  int32(ph.Times),
 		}
-		prog.TotalMACs += l.MACs(batch)
+		var macs, cycles int64
+		for idx, l := range ph.Body {
+			if err := l.Validate(); err != nil {
+				return nil, fmt.Errorf("compiler: %w", err)
+			}
+			if err := c.lowerLayer(prog, int32(idx), l, batch); err != nil {
+				return nil, err
+			}
+			macs += l.MACs(batch)
+		}
+		loop.End = int32(len(prog.Instrs))
+		for i := loop.Start; i < loop.End; i++ {
+			cycles += prog.Instrs[i].RunCycles()
+		}
+		if loop.End > loop.Start {
+			prog.Loops = append(prog.Loops, loop)
+		}
+		prog.Layers += ph.Times * len(ph.Body)
+		prog.TotalMACs += int64(ph.Times) * macs
+		prog.TotalCycles += int64(ph.Times) * cycles
 	}
-	for i := range prog.Instrs {
-		prog.TotalCycles += prog.Instrs[i].RunCycles()
+	if prog.Layers == 0 {
+		return nil, fmt.Errorf("compiler: model %q produced no layers", m.Name)
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -95,7 +118,13 @@ func (c *Compiler) lowerLayer(prog *npu.Program, idx int32, l dnn.Layer, batch i
 
 // emit appends a run, merging it into the previous run when the two are
 // indistinguishable tile by tile: same op, layer and latency, and either
-// the same flat live context or consecutive stretches of one ramp.
+// the same flat live context or consecutive stretches of one ramp. A
+// layer's first run never continues the run before it — a GEMM layer
+// opens with its flat LOAD_TILE preamble after the previous layer's
+// last tile, and a vector layer's ramp restarts at 1 — so runs never
+// merge across layers, nor across loop bodies, whose layer indices
+// restart at 0, and the expanded stream is the concatenation of the
+// iterations.
 func emit(prog *npu.Program, in npu.Instr) {
 	if n := len(prog.Instrs); n > 0 {
 		last := &prog.Instrs[n-1]

@@ -293,11 +293,11 @@ func TestRandomConvCompileProperty(t *testing.T) {
 	}
 }
 
-// expand returns prog's tiles one record each.
+// expand returns prog's tiles one record each: every loop iteration's
+// runs, tile by tile, with program-wide layer indices.
 func expand(prog *npu.Program) []npu.Instr {
 	var out []npu.Instr
-	for i := range prog.Instrs {
-		in := &prog.Instrs[i]
+	for in := range prog.Runs() {
 		for j := int32(0); j < in.Count; j++ {
 			out = append(out, in.Tile(j))
 		}
@@ -305,10 +305,11 @@ func expand(prog *npu.Program) []npu.Instr {
 	return out
 }
 
-// refCompile is the per-tile reference lowering: it emits one count-1
-// record per committed instruction, walking every tile, exactly as the
-// compiler did before it emitted runs. The compact program must expand
-// to this stream field for field.
+// refCompile is the per-tile reference lowering: it walks the fully
+// unrolled layer list and emits one count-1 record per committed
+// instruction, walking every tile, exactly as the compiler did before it
+// emitted runs and loops. The compact program must expand to this stream
+// field for field.
 func refCompile(c *Compiler, m *dnn.Model, batch, inLen, outLen int) ([]npu.Instr, int64) {
 	var out []npu.Instr
 	for idx, l := range m.LayersFor(inLen, outLen) {
@@ -447,10 +448,12 @@ func refMaxLive(instrs []npu.Instr) int64 {
 	return max
 }
 
-// TestRunsExpandToReference is the identity proof of the run-length
-// program format: every zoo model at every evaluated batch size (and,
-// for RNNs, at 20 sampled sequence-length pairs) expands to exactly the
-// per-tile reference stream.
+// TestRunsExpandToReference is the identity proof of the loop and
+// run-length program format: every zoo model at every evaluated batch
+// size expands to exactly the per-tile reference stream. RNNs are checked
+// at their profile's shortest and longest inputs, at odd input lengths
+// (which round RNN-ASR's pyramid up), with an empty decode, and at 20
+// sampled sequence-length pairs.
 func TestRunsExpandToReference(t *testing.T) {
 	c := newCompiler(t)
 	rng := rand.New(rand.NewPCG(12, 34))
@@ -460,10 +463,17 @@ func TestRunsExpandToReference(t *testing.T) {
 				checkAgainstReference(t, c, m, b, 0, 0)
 				continue
 			}
+			odd := m.MinInLen | 1
+			pairs := [][2]int{
+				{m.MinInLen, m.MinInLen}, {m.MaxInLen, m.MaxInLen}, {m.MinInLen, 1},
+				{odd, odd + 2}, {odd + 2, 0},
+			}
 			for s := 0; s < 20; s++ {
 				inLen := m.MinInLen + rng.IntN(m.MaxInLen-m.MinInLen+1)
-				outLen := 1 + rng.IntN(6*inLen)
-				checkAgainstReference(t, c, m, b, inLen, outLen)
+				pairs = append(pairs, [2]int{inLen, 1 + rng.IntN(6*inLen)})
+			}
+			for _, p := range pairs {
+				checkAgainstReference(t, c, m, b, p[0], p[1])
 			}
 		}
 	}
@@ -490,18 +500,23 @@ func TestRunsExpandToReferenceRandomLayers(t *testing.T) {
 	}
 }
 
-// TestRunRecordCounts pins how compact the run format is on the
-// workloads the paper mixes, against the per-tile record counts.
+// TestRunRecordCounts pins how compact the loop and run format is on
+// the workloads the paper mixes, against the per-tile record counts: an
+// RNN program holds one body per phase, so its run count does not grow
+// with the sequence length.
 func TestRunRecordCounts(t *testing.T) {
 	c := newCompiler(t)
 	for _, tc := range []struct {
 		model                string
 		batch, inLen, outLen int
-		tiles, runs          int64
+		tiles, runs, loops   int64
 	}{
-		{"RNN-MT1", 1, 30, 30, 59550, 510},
-		{"CNN-VN", 16, 0, 0, 17001, 1820},
-		{"CNN-AN", 1, 0, 0, 3835, 31},
+		{"RNN-MT1", 1, 30, 30, 59550, 17, 2},
+		{"RNN-MT1", 1, 50, 300, 450500, 17, 2},
+		{"RNN-ASR", 1, 30, 30, 28702, 29, 4},
+		{"RNN-SA", 1, 30, 30, 7805, 8, 2},
+		{"CNN-VN", 16, 0, 0, 17001, 1820, 1},
+		{"CNN-AN", 1, 0, 0, 3835, 31, 1},
 	} {
 		m, err := dnn.ByName(tc.model)
 		if err != nil {
@@ -511,9 +526,13 @@ func TestRunRecordCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog.Tiles() != tc.tiles || int64(len(prog.Instrs)) != tc.runs {
-			t.Errorf("%s b%d: %d runs for %d tiles, want %d runs for %d tiles",
-				tc.model, tc.batch, len(prog.Instrs), prog.Tiles(), tc.runs, tc.tiles)
+		if ref, _ := refCompile(c, m, tc.batch, tc.inLen, tc.outLen); int64(len(ref)) != tc.tiles {
+			t.Fatalf("%s: reference has %d tiles, pinned %d", tc.model, len(ref), tc.tiles)
+		}
+		if prog.Tiles() != tc.tiles || int64(len(prog.Instrs)) != tc.runs || int64(len(prog.Loops)) != tc.loops {
+			t.Errorf("%s b%d %d/%d: %d runs in %d loops for %d tiles, want %d runs in %d loops for %d tiles",
+				tc.model, tc.batch, tc.inLen, tc.outLen, len(prog.Instrs), len(prog.Loops), prog.Tiles(),
+				tc.runs, tc.loops, tc.tiles)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package ctl
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,7 +157,7 @@ func (p *Plane) dispatch(at int64, line string) (string, error) {
 			return "", fmt.Errorf("usage: load <x>")
 		}
 		x, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || x < 0 {
+		if err != nil || !(x >= 0) || math.IsInf(x, 1) {
 			return "", fmt.Errorf("bad offered load %q", args[0])
 		}
 		p.load = x

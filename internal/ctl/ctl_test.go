@@ -441,3 +441,22 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteLoadRejected: NaN and infinite offered loads used to pass
+// the negative-load guard and wedge the next segment's arrivals. A
+// script issuing one now fails at that command, promptly.
+func TestNonFiniteLoadRejected(t *testing.T) {
+	for _, x := range []string{"NaN", "Inf", "+Inf", "nan", "infinity"} {
+		t.Run(x, func(t *testing.T) {
+			p := newPlane(t)
+			start := time.Now()
+			_, err := p.RunScript("@5ms load " + x + "\n@60ms report\n@70ms quit\n")
+			if err == nil || !strings.Contains(err.Error(), "bad offered load") {
+				t.Fatalf("load %s: error %v, want a bad offered load", x, err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("script took %v, want under 1s", d)
+			}
+		})
+	}
+}

@@ -7,6 +7,13 @@
 // layer carries exactly the shape information needed to derive its GEMM
 // lowering, MAC count, weight/activation footprints, and therefore its
 // deterministic execution time on the systolic-array NPU (Section V-B).
+//
+// An RNN instance is not stored unrolled. Its model describes it as
+// phases: a step body built once with the model and shared by every
+// instance, and the number of timesteps it repeats for (Model.PhasesFor).
+// The compiler lowers each body once into a loop of the program, and the
+// predictors estimate each body once and multiply by its count;
+// LayersFor expands the phases for analyses that need every node.
 package dnn
 
 import (

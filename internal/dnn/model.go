@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Class distinguishes the two model families of the benchmark suite.
@@ -29,12 +30,24 @@ func (c Class) String() string {
 	}
 }
 
-// UnrollFunc materialises an RNN model's layer list for a concrete input
-// and (sampled or predicted) output sequence length.
-type UnrollFunc func(inLen, outLen int) []Layer
+// Phase is a step body repeated Times times. An RNN instance is a few
+// phases — an encoder timestep repeated once per input token, a decoder
+// step once per output token — and each body is built once with the
+// model and shared by every instance.
+type Phase struct {
+	// Body is one step's layers. It is shared and must not be
+	// modified.
+	Body []Layer
+	// Times is the number of steps.
+	Times int
+}
+
+// PhaseFunc describes an RNN model's instance for a concrete input and
+// (sampled or predicted) output sequence length as phases.
+type PhaseFunc func(inLen, outLen int) []Phase
 
 // Model is one inference workload in the zoo: either a static CNN layer
-// list, or an RNN described by an unroll function plus a sequence-length
+// list, or an RNN described by its phases plus a sequence-length
 // profile name resolved by package seqlen.
 type Model struct {
 	// Name is the paper's workload label, e.g. "CNN-VN" or "RNN-MT1".
@@ -45,8 +58,8 @@ type Model struct {
 	// Static holds the layer list for CNN models.
 	Static []Layer
 
-	// Unroll produces the layer list for RNN models.
-	Unroll UnrollFunc
+	// Phases describes an RNN model's instances.
+	Phases PhaseFunc
 	// SeqProfile names the seq2seq length-characterization profile
 	// (Figure 9) used to sample actual output lengths and to build the
 	// regression lookup table. Empty for CNNs.
@@ -58,17 +71,40 @@ type Model struct {
 // IsRNN reports whether the model unrolls dynamically.
 func (m *Model) IsRNN() bool { return m.Class == RNN }
 
-// LayersFor returns the concrete layer list for this model. CNNs ignore
-// the sequence lengths; RNNs unroll with them.
+// PhasesFor returns the model instance as phases, omitting any phase
+// that repeats zero times. A CNN is its static layer list run once.
+func (m *Model) PhasesFor(inLen, outLen int) []Phase {
+	if m.Class == CNN {
+		return []Phase{{Body: m.Static, Times: 1}}
+	}
+	return slices.DeleteFunc(m.Phases(inLen, outLen), func(p Phase) bool { return p.Times <= 0 })
+}
+
+// LayersFor returns the concrete layer list for this model: the phases
+// expanded step by step. CNNs ignore the sequence lengths and share
+// their static list. The compiler and the predictors work on the phases
+// and never expand them; LayersFor serves analyses that need every
+// unrolled node.
 func (m *Model) LayersFor(inLen, outLen int) []Layer {
 	if m.Class == CNN {
 		return m.Static
 	}
-	return m.Unroll(inLen, outLen)
+	phases := m.PhasesFor(inLen, outLen)
+	n := 0
+	for _, p := range phases {
+		n += p.Times * len(p.Body)
+	}
+	layers := make([]Layer, 0, n)
+	for _, p := range phases {
+		for t := 0; t < p.Times; t++ {
+			layers = append(layers, p.Body...)
+		}
+	}
+	return layers
 }
 
 // Validate checks the model definition: a CNN must have static layers and
-// every layer must be self-consistent; an RNN must have an unroll function
+// every layer must be self-consistent; an RNN must have a phase function
 // and valid length bounds.
 func (m *Model) Validate() error {
 	if m.Name == "" {
@@ -85,8 +121,8 @@ func (m *Model) Validate() error {
 			}
 		}
 	case RNN:
-		if m.Unroll == nil {
-			return fmt.Errorf("dnn: RNN model %q has no unroll function", m.Name)
+		if m.Phases == nil {
+			return fmt.Errorf("dnn: RNN model %q has no phase function", m.Name)
 		}
 		if m.MinInLen <= 0 || m.MaxInLen < m.MinInLen {
 			return fmt.Errorf("dnn: RNN model %q has bad input-length bounds [%d,%d]",
@@ -95,10 +131,12 @@ func (m *Model) Validate() error {
 		if m.SeqProfile == "" {
 			return fmt.Errorf("dnn: RNN model %q has no sequence profile", m.Name)
 		}
-		// Unroll a representative instance and validate it.
-		for _, l := range m.Unroll(m.MinInLen, m.MinInLen) {
-			if err := l.Validate(); err != nil {
-				return fmt.Errorf("model %q: %w", m.Name, err)
+		// Validate a representative instance's step bodies.
+		for _, p := range m.PhasesFor(m.MinInLen, m.MinInLen) {
+			for _, l := range p.Body {
+				if err := l.Validate(); err != nil {
+					return fmt.Errorf("model %q: %w", m.Name, err)
+				}
 			}
 		}
 	default:
@@ -110,8 +148,12 @@ func (m *Model) Validate() error {
 // TotalMACs sums layer MACs for a concrete instantiation.
 func (m *Model) TotalMACs(batch, inLen, outLen int) int64 {
 	var total int64
-	for _, l := range m.LayersFor(inLen, outLen) {
-		total += l.MACs(batch)
+	for _, p := range m.PhasesFor(inLen, outLen) {
+		var body int64
+		for _, l := range p.Body {
+			body += l.MACs(batch)
+		}
+		total += int64(p.Times) * body
 	}
 	return total
 }
@@ -122,12 +164,14 @@ func (m *Model) TotalMACs(batch, inLen, outLen int) int64 {
 func (m *Model) TotalWeightBytes(inLen, outLen int) int64 {
 	seen := make(map[string]bool)
 	var total int64
-	for _, l := range m.LayersFor(inLen, outLen) {
-		if seen[l.Name] {
-			continue
+	for _, p := range m.PhasesFor(inLen, outLen) {
+		for _, l := range p.Body {
+			if seen[l.Name] {
+				continue
+			}
+			seen[l.Name] = true
+			total += Bytes(l.WeightElems())
 		}
-		seen[l.Name] = true
-		total += Bytes(l.WeightElems())
 	}
 	return total
 }
@@ -137,9 +181,11 @@ func (m *Model) TotalWeightBytes(inLen, outLen int) int64 {
 // live state for one in-flight layer.
 func (m *Model) MaxOutputBytes(batch, inLen, outLen int) int64 {
 	var max int64
-	for _, l := range m.LayersFor(inLen, outLen) {
-		if b := Bytes(l.OutputElems(batch)); b > max {
-			max = b
+	for _, p := range m.PhasesFor(inLen, outLen) {
+		for _, l := range p.Body {
+			if b := Bytes(l.OutputElems(batch)); b > max {
+				max = b
+			}
 		}
 	}
 	return max

@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"slices"
 )
 
 // This file encodes the RNN benchmark topologies of Section III:
@@ -10,11 +9,13 @@ import (
 // RNN-MT1/MT2 (seq2seq machine translation, non-linear relationship), and
 // RNN-ASR (a "Listen, Attend and Spell"-style speech recognizer).
 //
-// Each model's Unroll function materialises the full time-unrolled layer
-// list for a concrete (input length, output length) pair; the actual
-// output length of a task instance is sampled from the seqlen profile
-// named by SeqProfile, while PREMA's predictor uses the regression lookup
-// table built from the same profile (Section V-B, Figure 9).
+// Each model's phase function describes a concrete (input length, output
+// length) instance as step bodies, built once per model, and their repeat
+// counts — the unrolled node count Algorithm 1 multiplies a per-node
+// cost by; the actual output length of a task instance is sampled from
+// the seqlen profile named by SeqProfile, while PREMA's predictor uses
+// the regression lookup table built from the same profile (Section V-B,
+// Figure 9).
 
 // lstmStack appends nLayers unrolled LSTM cell-steps for one timestep.
 // The first layer consumes inDim, subsequent layers consume hidden.
@@ -32,19 +33,6 @@ func lstmStack(layers []Layer, prefix string, nLayers, hidden, inDim int) []Laye
 	return layers
 }
 
-// repeatSteps appends n copies of one timestep's layers, reserving room
-// for extra more layers after them.
-func repeatSteps(layers, step []Layer, n, extra int) []Layer {
-	if n <= 0 {
-		return layers
-	}
-	layers = slices.Grow(layers, n*len(step)+extra)
-	for t := 0; t < n; t++ {
-		layers = append(layers, step...)
-	}
-	return layers
-}
-
 // SentimentAnalysis returns RNN-SA: a 2-layer LSTM (hidden 512) over the
 // input sequence followed by a small classifier. Its output sequence
 // length equals its input length (Figure 8(b)), so prediction is trivial.
@@ -55,16 +43,15 @@ func SentimentAnalysis() *Model {
 		stack  = 2
 	)
 	enc := lstmStack(nil, "enc", stack, hidden, embed)
-	unroll := func(inLen, outLen int) []Layer {
+	cls := []Layer{NewFC("cls", hidden, 2, false)}
+	phases := func(inLen, outLen int) []Phase {
 		// Linear RNN: recurrence length == input length; outLen is
 		// ignored by construction (Figure 8(b)).
-		layers := repeatSteps(nil, enc, inLen, 1)
-		layers = append(layers, NewFC("cls", hidden, 2, false))
-		return layers
+		return []Phase{{Body: enc, Times: inLen}, {Body: cls, Times: 1}}
 	}
 	return &Model{
 		Name: "RNN-SA", Class: RNN,
-		Unroll:     unroll,
+		Phases:     phases,
 		SeqProfile: "sa",
 		MinInLen:   5, MaxInLen: 50,
 	}
@@ -85,13 +72,12 @@ func machineTranslation(name, profile string, stack, hidden, vocab int) *Model {
 		NewFC("attn", 2*hidden, hidden, true),
 		NewFC("proj", hidden, vocab, false),
 	)
-	unroll := func(inLen, outLen int) []Layer {
-		layers := repeatSteps(nil, enc, inLen, max(outLen, 0)*len(dec))
-		return repeatSteps(layers, dec, outLen, 0)
+	phases := func(inLen, outLen int) []Phase {
+		return []Phase{{Body: enc, Times: inLen}, {Body: dec, Times: outLen}}
 	}
 	return &Model{
 		Name: name, Class: RNN,
-		Unroll:     unroll,
+		Phases:     phases,
 		SeqProfile: profile,
 		MinInLen:   5, MaxInLen: 50,
 	}
@@ -144,19 +130,19 @@ func SpeechRecognition() *Model {
 		NewFC("attn", 2*hidden, hidden, true),
 		NewFC("proj", hidden, charVoc, false),
 	)
-	unroll := func(inLen, outLen int) []Layer {
-		var layers []Layer
+	phases := func(inLen, outLen int) []Phase {
+		ps := make([]Phase, 0, len(enc)+1)
 		// Encoder layer l runs ceil(inLen / 2^l) steps.
 		steps := inLen
 		for l := range enc {
-			layers = repeatSteps(layers, enc[l], steps, 0)
+			ps = append(ps, Phase{Body: enc[l], Times: steps})
 			steps = (steps + 1) / 2
 		}
-		return repeatSteps(layers, dec, outLen, 0)
+		return append(ps, Phase{Body: dec, Times: outLen})
 	}
 	return &Model{
 		Name: "RNN-ASR", Class: RNN,
-		Unroll:     unroll,
+		Phases:     phases,
 		SeqProfile: "asr",
 		MinInLen:   20, MaxInLen: 100,
 	}

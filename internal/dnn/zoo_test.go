@@ -184,9 +184,9 @@ func TestModelValidateFailures(t *testing.T) {
 		{Name: "badlayer", Class: CNN, Static: []Layer{{Name: "x", Kind: FC}}},
 		{Name: "nounroll", Class: RNN, SeqProfile: "sa", MinInLen: 1, MaxInLen: 2},
 		{Name: "badlen", Class: RNN, SeqProfile: "sa", MinInLen: 5, MaxInLen: 2,
-			Unroll: func(a, b int) []Layer { return []Layer{NewFC("f", 1, 1, false)} }},
+			Phases: func(a, b int) []Phase { return []Phase{{Body: []Layer{NewFC("f", 1, 1, false)}, Times: a}} }},
 		{Name: "noprofile", Class: RNN, MinInLen: 1, MaxInLen: 2,
-			Unroll: func(a, b int) []Layer { return []Layer{NewFC("f", 1, 1, false)} }},
+			Phases: func(a, b int) []Phase { return []Phase{{Body: []Layer{NewFC("f", 1, 1, false)}, Times: a}} }},
 		{Name: "badclass", Class: Class(9)},
 	}
 	for _, m := range bad {
@@ -249,8 +249,8 @@ func TestZooBuiltOnce(t *testing.T) {
 }
 
 // refUnroll is the reference unroll: every timestep's layers built
-// afresh, as the RNN models did before they repeated one prebuilt step.
-// hidden/embed/vocab follow the zoo definitions.
+// afresh, as the RNN models did before they were described as phases of
+// one prebuilt step. hidden/embed/vocab follow the zoo definitions.
 func refUnroll(name string, inLen, outLen int) []Layer {
 	mt := func(stack, hidden, vocab int) []Layer {
 		var layers []Layer
@@ -295,20 +295,56 @@ func refUnroll(name string, inLen, outLen int) []Layer {
 	return nil
 }
 
-// TestRNNUnrollMatchesReference: repeating one prebuilt timestep yields
-// exactly the layer lists built step by step, at every length including
-// empty and negative ones.
+// TestRNNUnrollMatchesReference: expanding the phases yields exactly the
+// layer lists built step by step, at every length including empty and
+// negative ones, and the phase-wise totals equal the expansion's.
 func TestRNNUnrollMatchesReference(t *testing.T) {
 	for _, m := range All() {
 		if !m.IsRNN() {
 			continue
 		}
-		for in := -1; in <= 110; in += 9 {
+		for in := -3; in <= 110; in += 7 {
 			for out := -1; out <= 260; out += 29 {
-				if got, want := m.LayersFor(in, out), refUnroll(m.Name, in, out); !reflect.DeepEqual(got, want) {
+				want := refUnroll(m.Name, in, out)
+				if got := m.LayersFor(in, out); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 					t.Fatalf("%s %d/%d: unroll differs from reference (%d vs %d layers)",
 						m.Name, in, out, len(got), len(want))
 				}
+				var macs, maxOut int64
+				for _, l := range want {
+					macs += l.MACs(4)
+					maxOut = max(maxOut, Bytes(l.OutputElems(4)))
+				}
+				if got := m.TotalMACs(4, in, out); got != macs {
+					t.Fatalf("%s %d/%d: TotalMACs %d, reference %d", m.Name, in, out, got, macs)
+				}
+				if got := m.MaxOutputBytes(4, in, out); got != maxOut {
+					t.Fatalf("%s %d/%d: MaxOutputBytes %d, reference %d", m.Name, in, out, got, maxOut)
+				}
+				for _, p := range m.PhasesFor(in, out) {
+					if p.Times <= 0 || len(p.Body) == 0 {
+						t.Fatalf("%s %d/%d: phase %+v repeats nothing", m.Name, in, out, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPhaseBodiesShared: an instance's step bodies are the model's
+// prebuilt steps, not copies, so describing an instance costs O(phases).
+func TestPhaseBodiesShared(t *testing.T) {
+	for _, m := range All() {
+		if !m.IsRNN() {
+			continue
+		}
+		a, b := m.PhasesFor(10, 20), m.PhasesFor(30, 7)
+		if len(a) != len(b) {
+			t.Fatalf("%s: phase count depends on the lengths (%d vs %d)", m.Name, len(a), len(b))
+		}
+		for i := range a {
+			if &a[i].Body[0] != &b[i].Body[0] {
+				t.Errorf("%s: phase %d body is rebuilt per instance", m.Name, i)
 			}
 		}
 	}

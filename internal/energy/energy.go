@@ -86,12 +86,17 @@ func (m Model) Program(cfg npu.Config, p *npu.Program) Breakdown {
 	// conservative proxy is bytes-per-cycle times the memory-bound
 	// share. We instead charge the architectural traffic directly:
 	// weights once, activations in and out per layer.
+	// Every iteration of a loop moves the same bytes.
 	var bytes int64
-	for i := range p.Instrs {
-		switch in := &p.Instrs[i]; in.Op {
-		case npu.LoadTile, npu.StoreTile:
-			bytes += int64(in.Count) * int64(float64(in.Cycles)*cfg.BytesPerCycle())
+	for _, l := range p.LoopTable() {
+		var body int64
+		for _, in := range p.Instrs[l.Start:l.End] {
+			switch in.Op {
+			case npu.LoadTile, npu.StoreTile:
+				body += int64(in.Count) * int64(float64(in.Cycles)*cfg.BytesPerCycle())
+			}
 		}
+		bytes += int64(l.Times) * body
 	}
 	// Streaming traffic of GEMM tiles (activations into the array) is
 	// SRAM-side; charge it per MAC operand pair at 2 bytes each.

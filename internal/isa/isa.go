@@ -7,8 +7,8 @@
 // reloaded.
 //
 // The binary stream holds one record per committed instruction (tile):
-// Write expands the program's runs, and Read returns one single-tile
-// run per record.
+// Write expands the program's loops and runs, and Read returns one
+// loop, run once, of single-tile runs, one per record.
 //
 // Encoding (little endian, 24 bytes per instruction):
 //
@@ -116,8 +116,7 @@ func Write(w io.Writer, p *npu.Program) error {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
+	for in := range p.Runs() {
 		for j := int32(0); j < in.Count; j++ {
 			enc := EncodeInstr(in.Tile(j))
 			if _, err := bw.Write(enc[:]); err != nil {
@@ -146,6 +145,7 @@ func Read(r io.Reader) (*npu.Program, error) {
 		uint64(hdr[13])<<24 | uint64(hdr[14])<<32 | uint64(hdr[15])<<40
 
 	p := &npu.Program{Model: "(loaded)", Batch: 1}
+	loop := npu.Loop{Times: 1}
 	br := bufio.NewReader(r)
 	buf := make([]byte, instrSize)
 	for i := uint32(0); i < count; i++ {
@@ -158,9 +158,13 @@ func Read(r io.Reader) (*npu.Program, error) {
 		}
 		p.Instrs = append(p.Instrs, in)
 		p.TotalCycles += int64(in.Cycles)
+		loop.Layers = max(loop.Layers, in.Layer+1)
 	}
 	if p.TotalCycles != int64(total) {
 		return nil, fmt.Errorf("isa: header total %d != instruction sum %d", total, p.TotalCycles)
+	}
+	if loop.End = int32(count); count > 0 {
+		p.Loops = []npu.Loop{loop}
 	}
 	return p, nil
 }
@@ -173,26 +177,29 @@ func Disassemble(p *npu.Program, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "; program %s batch=%d layers=%d instrs=%d total=%d cycles\n",
 		p.Model, p.Batch, p.Layers, p.Tiles(), p.TotalCycles)
-	i := 0
-	for i < len(p.Instrs) {
-		in := &p.Instrs[i]
-		j := i
-		var n, runCycles int64
-		for j < len(p.Instrs) && p.Instrs[j].Op == in.Op && p.Instrs[j].Layer == in.Layer {
-			n += int64(p.Instrs[j].Count)
-			runCycles += p.Instrs[j].RunCycles()
-			j++
-		}
+	// Collapse consecutive runs of the expanded stream that share an
+	// op and layer into one line.
+	var cur, last npu.Instr
+	var n, runCycles int64
+	flush := func() {
 		if n == 1 {
 			fmt.Fprintf(bw, "%-10s layer=%-4d cycles=%-8d live=%d\n",
-				in.Op, in.Layer, in.Cycles, in.LiveAt(0))
-		} else {
-			last := &p.Instrs[j-1]
+				cur.Op, cur.Layer, cur.Cycles, cur.LiveAt(0))
+		} else if n > 1 {
 			fmt.Fprintf(bw, "%-10s layer=%-4d x%-6d cycles=%-10d live<=%d\n",
-				in.Op, in.Layer, n, runCycles, last.LiveAt(last.Count-1))
+				cur.Op, cur.Layer, n, runCycles, last.LiveAt(last.Count-1))
 		}
-		i = j
 	}
+	for in := range p.Runs() {
+		if n == 0 || in.Op != cur.Op || in.Layer != cur.Layer {
+			flush()
+			cur, n, runCycles = in, 0, 0
+		}
+		n += int64(in.Count)
+		runCycles += in.RunCycles()
+		last = in
+	}
+	flush()
 	return bw.Flush()
 }
 

@@ -10,10 +10,14 @@
 //
 // A Program stores its stream as runs: each Instr record covers Count
 // consecutive tiles that share an opcode, a layer and a latency, with a
-// Ramp that reproduces every tile's live context exactly. The Execution
-// cursor walks runs in O(1) per run, and may execute a program at a
-// speed factor (ceil(cycles×factor) per tile) so slowed hardware shares
-// the nominal program.
+// Ramp that reproduces every tile's live context exactly. A loop table
+// groups the runs into bodies repeated by count — an RNN timestep's
+// cell layers are stored once and run once per step — so the committed
+// stream is each loop's body, Times times, in table order. The
+// Execution cursor walks that stream as a (loop, iteration, run, tile)
+// position in O(1) per run, skipping whole iterations with one divide,
+// and may execute a program at a speed factor (ceil(cycles×factor) per
+// tile) so slowed hardware shares the nominal program.
 package npu
 
 import (

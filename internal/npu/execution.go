@@ -11,35 +11,49 @@ import (
 // checkpointable live state, and resets it when the KILL mechanism discards
 // in-flight work.
 //
-// The cursor walks the program's runs: it skips whole tiles of a run
-// with one divide, and every query is O(1) per run. An Execution may run
-// its program at a speed factor (NewScaledExecution): each tile then
-// takes ceil(cycles×factor), so a slowed backend shares the nominal
-// program instead of copying it.
+// The cursor is a position in the program's loop table — loop,
+// iteration, run and tile — and walks the expanded stream without
+// materializing it: it skips whole tiles of a run with one divide and
+// whole iterations of a loop with another, and every query is O(1) per
+// run. An Execution may run its program at a speed factor
+// (NewScaledExecution): each tile then takes ceil(cycles×factor), so a
+// slowed backend shares the nominal program instead of copying it.
 //
 // The zero value is not usable; construct with NewExecution.
 type Execution struct {
-	prog   *Program
-	factor float64 // service-time multiplier; 1 = nominal speed
-	total  int64   // isolated cycles at this factor
-	pc     int     // run in flight
-	tile   int32   // tile of run pc in flight
-	cyc    int64   // cycles of each tile of run pc at this factor
-	rem    int64   // cycles remaining in the in-flight tile
-	done   int64   // cycles executed so far
+	prog    *Program // always carries a loop table
+	factor  float64  // service-time multiplier; 1 = nominal speed
+	total   int64    // isolated cycles at this factor
+	iterCyc int64    // cycles of one iteration of loop lp at this factor; 0 for a loop run once
+	cyc     int64    // cycles of each tile of run pc at this factor
+	rem     int64    // cycles remaining in the in-flight tile
+	done    int64    // cycles executed so far
+	lp      int32    // loop in flight
+	iter    int32    // iteration of loop lp in flight
+	pc      int32    // run in flight
+	tile    int32    // tile of run pc in flight
+	head    bool     // nothing of iteration iter has executed yet
 }
 
-// NewExecution returns a cursor positioned at the start of prog.
+// NewExecution returns a cursor positioned at the start of prog. A
+// program without a loop table (one assembled by hand) is executed
+// through a copy that carries its one-loop table.
 func NewExecution(prog *Program) *Execution {
+	if prog.Loops == nil {
+		cp := *prog
+		cp.Loops = prog.LoopTable()
+		prog = &cp
+	}
 	e := &Execution{prog: prog, factor: 1, total: prog.TotalCycles}
-	e.seek(0)
+	e.reset()
 	return e
 }
 
 // NewScaledExecution returns a cursor that executes prog at factor×
 // its nominal service time: every tile takes ceil(cycles×factor) cycles,
 // saturating at the largest int32 latency like the compiler's clamp.
-// factor must be finite and at least 1.
+// factor must be finite and at least 1. The total costs one pass over
+// the loop bodies, not over the expanded stream.
 func NewScaledExecution(prog *Program, factor float64) *Execution {
 	if !(factor >= 1) || math.IsInf(factor, 1) {
 		panic(fmt.Sprintf("npu: speed factor %v is not a finite number >= 1", factor))
@@ -47,16 +61,16 @@ func NewScaledExecution(prog *Program, factor float64) *Execution {
 	e := NewExecution(prog)
 	if factor != 1 {
 		e.factor, e.total = factor, 0
-		for i := range prog.Instrs {
-			e.total += int64(prog.Instrs[i].Count) * e.scaled(i)
+		for k := range e.prog.Loops {
+			e.total += int64(e.prog.Loops[k].Times) * e.bodyCycles(int32(k))
 		}
-		e.seek(0)
+		e.reset()
 	}
 	return e
 }
 
 // scaled returns the per-tile cycles of run i at the execution's factor.
-func (e *Execution) scaled(i int) int64 {
+func (e *Execution) scaled(i int32) int64 {
 	c := int64(e.prog.Instrs[i].Cycles)
 	if e.factor == 1 {
 		return c
@@ -68,26 +82,63 @@ func (e *Execution) scaled(i int) int64 {
 	return int64(s)
 }
 
+// bodyCycles returns the cycles of one iteration of loop k at the
+// execution's factor.
+func (e *Execution) bodyCycles(k int32) int64 {
+	l := &e.prog.Loops[k]
+	var sum int64
+	for i := l.Start; i < l.End; i++ {
+		sum += int64(e.prog.Instrs[i].Count) * e.scaled(i)
+	}
+	return sum
+}
+
 func (e *Execution) reset() {
 	e.done = 0
+	e.enter(0)
+	e.head = true
 	e.seek(0)
 }
 
-// seek positions the cursor at the first tile of run i, then past any
-// zero-latency runs so the cursor always rests on work (or the end of
-// the program).
-func (e *Execution) seek(i int) {
-	e.tile = 0
-	for ; i < len(e.prog.Instrs); i++ {
-		if e.cyc = e.scaled(i); e.cyc > 0 && e.prog.Instrs[i].Count > 0 {
-			break
-		}
+// enter makes loop k (or the end of the program) the loop in flight, at
+// its first iteration.
+func (e *Execution) enter(k int32) {
+	e.lp, e.iter, e.iterCyc = k, 0, 0
+	if int(k) < len(e.prog.Loops) && e.prog.Loops[k].Times > 1 {
+		e.iterCyc = e.bodyCycles(k)
 	}
-	e.pc = i
-	e.rem = e.cyc
 }
 
-// Program returns the program being executed.
+// seek positions the cursor at the first tile of run pc of the
+// iteration in flight, then past any zero-latency runs — into later
+// iterations and loops as needed — so the cursor always rests on work
+// (or the end of the program). An iteration with no work at all ends
+// its loop, since every iteration is the same.
+func (e *Execution) seek(pc int32) {
+	for !e.Done() {
+		l := &e.prog.Loops[e.lp]
+		if pc < l.End {
+			if e.cyc = e.scaled(pc); e.cyc > 0 && e.prog.Instrs[pc].Count > 0 {
+				break
+			}
+			pc++
+			continue
+		}
+		e.head = true
+		if e.iter++; e.iter < l.Times && e.iterCyc > 0 {
+			pc = l.Start
+			continue
+		}
+		e.enter(e.lp + 1)
+		if !e.Done() {
+			pc = e.prog.Loops[e.lp].Start
+		}
+	}
+	e.pc, e.tile, e.rem = pc, 0, e.cyc
+}
+
+// Program returns the program being executed: the program the cursor
+// was built on, or for one without a loop table, the copy carrying it.
 func (e *Execution) Program() *Program { return e.prog }
 
 // Factor returns the execution's speed factor (1 = nominal).
@@ -98,7 +149,7 @@ func (e *Execution) Factor() float64 { return e.factor }
 func (e *Execution) TotalCycles() int64 { return e.total }
 
 // Done reports whether the program has fully committed.
-func (e *Execution) Done() bool { return e.pc >= len(e.prog.Instrs) }
+func (e *Execution) Done() bool { return int(e.lp) >= len(e.prog.Loops) }
 
 // Executed returns the cycles executed so far.
 func (e *Execution) Executed() int64 { return e.done }
@@ -116,6 +167,18 @@ func (e *Execution) Advance(budget int64) int64 {
 	}
 	used := budget
 	for budget > 0 && !e.Done() {
+		if e.head && e.iterCyc > 0 && budget >= e.iterCyc {
+			// Commit whole iterations at once: none of this one has
+			// run, and every iteration costs the same.
+			l := &e.prog.Loops[e.lp]
+			n := min(budget/e.iterCyc, int64(l.Times-e.iter))
+			budget -= n * e.iterCyc
+			if e.iter += int32(n); e.iter == l.Times {
+				e.seek(l.End)
+			}
+			continue
+		}
+		e.head = false
 		if budget < e.rem {
 			e.rem -= budget
 			budget = 0
@@ -162,12 +225,19 @@ func (e *Execution) LiveBytes() int64 {
 		return e.prog.Instrs[e.pc].LiveAt(e.tile - 1)
 	}
 	// The state after the previous commit is the last tile of the
-	// previous run (zero-latency runs included).
-	if e.pc == 0 {
+	// previous run of the expanded stream (zero-latency runs
+	// included): at the start of a later iteration, the body's last
+	// run; otherwise the run before pc, which the contiguous bodies
+	// make the previous loop's last run at a loop's start.
+	prev := e.pc - 1
+	if !e.Done() && e.iter > 0 && e.pc == e.prog.Loops[e.lp].Start {
+		prev = e.prog.Loops[e.lp].End - 1
+	}
+	if prev < 0 {
 		return 0
 	}
-	prev := &e.prog.Instrs[e.pc-1]
-	return prev.LiveAt(prev.Count - 1)
+	in := &e.prog.Instrs[prev]
+	return in.LiveAt(in.Count - 1)
 }
 
 // Kill discards all progress: the KILL preemption mechanism terminates the
@@ -181,13 +251,16 @@ func (e *Execution) Kill() { e.reset() }
 // footnote 2 permits — preemption points on tile boundaries with
 // re-execution from the last architecturally complete layer — and returns
 // the cycles of work discarded. A completed program is left untouched.
+// A layer never spans iterations, so the rewind stays in the iteration
+// in flight.
 func (e *Execution) KillToLayerStart() (wasted int64) {
 	if e.Done() {
 		return 0
 	}
+	first := e.prog.Loops[e.lp].Start
 	layer := e.prog.Instrs[e.pc].Layer
 	start := e.pc
-	for start > 0 && e.prog.Instrs[start-1].Layer == layer {
+	for start > first && e.prog.Instrs[start-1].Layer == layer {
 		start--
 	}
 	// Cycles completed within the layer: whole runs since start, whole
@@ -197,6 +270,7 @@ func (e *Execution) KillToLayerStart() (wasted int64) {
 	}
 	wasted += int64(e.tile)*e.cyc + e.cyc - e.rem
 	e.done -= wasted
+	e.head = start == first
 	e.seek(start)
 	return wasted
 }
@@ -209,11 +283,12 @@ func (e *Execution) Progress() float64 {
 	return float64(e.done) / float64(e.total)
 }
 
-// CurrentLayer returns the layer index of the in-flight instruction, or -1
-// once the program has completed.
+// CurrentLayer returns the program-wide layer index of the in-flight
+// instruction, or -1 once the program has completed.
 func (e *Execution) CurrentLayer() int {
 	if e.Done() {
 		return -1
 	}
-	return int(e.prog.Instrs[e.pc].Layer)
+	l := &e.prog.Loops[e.lp]
+	return int(l.Base) + int(e.iter)*int(l.Layers) + int(e.prog.Instrs[e.pc].Layer)
 }

@@ -166,6 +166,36 @@ func TestProgramValidate(t *testing.T) {
 	if err := over.Validate(); err != nil {
 		t.Errorf("a run covering its whole ramp should validate: %v", err)
 	}
+
+	// Loop tables: two loops over three runs, the second repeated.
+	loops := func() *Program {
+		p := testProgram(10, 20, 30)
+		p.Instrs[1].Layer, p.Instrs[2].Layer = 0, 0
+		p.Loops = []Loop{{Start: 0, End: 1, Layers: 1, Times: 1}, {Start: 1, End: 3, Base: 1, Layers: 1, Times: 4}}
+		p.TotalCycles = 10 + 4*50
+		return p
+	}
+	if err := loops().Validate(); err != nil {
+		t.Fatalf("valid loop table rejected: %v", err)
+	}
+	if got := loops().Tiles(); got != 9 {
+		t.Errorf("Tiles = %d, want 9", got)
+	}
+	for name, mutate := range map[string]func(p *Program){
+		"zero times":       func(p *Program) { p.Loops[1].Times = 0 },
+		"gap":              func(p *Program) { p.Loops[1].Start = 2 },
+		"uncovered run":    func(p *Program) { p.Loops[1].End = 2 },
+		"empty body":       func(p *Program) { p.Loops[0].End = 0; p.Loops[1].Start = 0 },
+		"layer outside":    func(p *Program) { p.Instrs[2].Layer = 1 },
+		"overlapping base": func(p *Program) { p.Loops[1].Base = 0; p.Loops[0].Layers = 2 },
+		"total":            func(p *Program) { p.TotalCycles = 60 },
+	} {
+		p := loops()
+		mutate(p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: malformed loop table accepted", name)
+		}
+	}
 }
 
 func TestRunLiveBytes(t *testing.T) {

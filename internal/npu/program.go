@@ -1,6 +1,9 @@
 package npu
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Op is a CISC opcode of the NPU ISA (Section II-B). The performance model
 // simulates at committed-instruction granularity: LOAD_TILE/STORE_TILE
@@ -106,9 +109,30 @@ func (in *Instr) Tile(j int32) Instr {
 // RunCycles returns the cycles of the whole run.
 func (in *Instr) RunCycles() int64 { return int64(in.Count) * int64(in.Cycles) }
 
+// Loop is one entry of a program's loop table: a body of runs executed
+// Times times in a row. An RNN instance repeats one timestep's cell
+// layers per step (Section III), so its program stores each phase's
+// step body once and a repeat count, and its size does not depend on
+// the sequence length; a CNN is one loop run once.
+type Loop struct {
+	// Start and End delimit the body, Instrs[Start:End].
+	Start, End int32
+	// Base is the program-wide index of the loop's first layer.
+	Base int32
+	// Layers is the number of layers one iteration covers. A body
+	// run's Layer is its index within the iteration, so iteration t's
+	// run stands for layer Base + t×Layers + Layer.
+	Layers int32
+	// Times is the repeat count (at least 1).
+	Times int32
+}
+
 // Program is a compiled instruction stream for one inference task
 // instance, together with summary statistics the scheduler and the
 // metrics pipeline need.
+//
+// The stream the NPU commits is the loop table expanded: each loop's
+// body, Times times, in table order. Runs yields that expansion.
 type Program struct {
 	// Model is the workload label the program was compiled from.
 	Model string
@@ -117,24 +141,65 @@ type Program struct {
 	// InLen and OutLen are the sequence lengths of an RNN instance
 	// (zero for CNNs).
 	InLen, OutLen int
-	// Instrs is the committed instruction stream as runs of identical
-	// tiles.
+	// Instrs holds the loop bodies' runs of identical tiles, body
+	// after body.
 	Instrs []Instr
+	// Loops is the loop table over Instrs. Compiled programs always
+	// carry one; a nil table (a program assembled by hand) runs the
+	// whole stream once.
+	Loops []Loop
 	// TotalCycles is the isolated, uninterrupted execution time.
 	TotalCycles int64
 	// TotalMACs is the arithmetic work represented by the program.
 	TotalMACs int64
-	// Layers is the number of instantiated layers.
+	// Layers is the number of instantiated layers, across all
+	// iterations.
 	Layers int
 }
 
+// LoopTable returns the program's loop table, or the single loop that
+// runs the whole stream once when the program has none.
+func (p *Program) LoopTable() []Loop {
+	if p.Loops != nil {
+		return p.Loops
+	}
+	return []Loop{{End: int32(len(p.Instrs)), Layers: int32(p.Layers), Times: 1}}
+}
+
+// bodyCycles returns the nominal cycles of one iteration of loop l.
+func (p *Program) bodyCycles(l *Loop) int64 {
+	var sum int64
+	for i := l.Start; i < l.End; i++ {
+		sum += p.Instrs[i].RunCycles()
+	}
+	return sum
+}
+
+// Runs yields the expanded stream: every iteration of every loop in
+// order, each run carrying its program-wide layer index.
+func (p *Program) Runs() iter.Seq[Instr] {
+	return func(yield func(Instr) bool) {
+		for _, l := range p.LoopTable() {
+			for t := int32(0); t < l.Times; t++ {
+				base := l.Base + t*l.Layers
+				for _, in := range p.Instrs[l.Start:l.End] {
+					in.Layer += base
+					if !yield(in) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
 // Validate checks program invariants: non-empty runs, non-negative
-// latencies and live state, well-formed ramps, and a consistent total.
+// latencies and live state, well-formed ramps, a loop table whose
+// bodies tile the stream in order, and a consistent total.
 func (p *Program) Validate() error {
 	if len(p.Instrs) == 0 {
 		return fmt.Errorf("npu: program %q has no instructions", p.Model)
 	}
-	var sum int64
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		if in.Count < 1 {
@@ -150,7 +215,29 @@ func (p *Program) Validate() error {
 			(r.Out < 0 || r.Cap < 0 || r.First < 1 || int64(r.First)+int64(in.Count)-1 > int64(r.Total)) {
 			return fmt.Errorf("npu: program %q run %d has a malformed live ramp %+v", p.Model, i, r)
 		}
-		sum += in.RunCycles()
+	}
+	var next int32
+	var base int64
+	for k := range p.Loops {
+		l := &p.Loops[k]
+		if l.Start != next || l.End <= l.Start || int(l.End) > len(p.Instrs) ||
+			l.Times < 1 || l.Layers < 1 || int64(l.Base) < base {
+			return fmt.Errorf("npu: program %q loop %d is malformed %+v", p.Model, k, *l)
+		}
+		for i := l.Start; i < l.End; i++ {
+			if layer := p.Instrs[i].Layer; layer < 0 || layer >= l.Layers {
+				return fmt.Errorf("npu: program %q run %d has layer %d outside its loop's %d",
+					p.Model, i, layer, l.Layers)
+			}
+		}
+		next, base = l.End, int64(l.Base)+int64(l.Layers)*int64(l.Times)
+	}
+	if p.Loops != nil && int(next) != len(p.Instrs) {
+		return fmt.Errorf("npu: program %q loop table covers %d of %d runs", p.Model, next, len(p.Instrs))
+	}
+	var sum int64
+	for _, l := range p.LoopTable() {
+		sum += int64(l.Times) * p.bodyCycles(&l)
 	}
 	if sum != p.TotalCycles {
 		return fmt.Errorf("npu: program %q total %d != instruction sum %d",
@@ -160,8 +247,9 @@ func (p *Program) Validate() error {
 }
 
 // MaxLiveBytes returns the largest checkpointable context across all
-// preemption points of the program. A ramp never shrinks, so each run's
-// largest context is its last tile's.
+// preemption points of the program. Every body run executes at least
+// once and a ramp never shrinks, so each run's largest context is its
+// last tile's.
 func (p *Program) MaxLiveBytes() int64 {
 	var max int64
 	for i := range p.Instrs {
@@ -177,8 +265,12 @@ func (p *Program) MaxLiveBytes() int64 {
 // program expands to.
 func (p *Program) Tiles() int64 {
 	var n int64
-	for i := range p.Instrs {
-		n += int64(p.Instrs[i].Count)
+	for _, l := range p.LoopTable() {
+		var body int64
+		for i := l.Start; i < l.End; i++ {
+			body += int64(p.Instrs[i].Count)
+		}
+		n += int64(l.Times) * body
 	}
 	return n
 }

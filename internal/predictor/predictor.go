@@ -91,10 +91,22 @@ func (a *Analytic) EstimateLayers(layers []dnn.Layer, batch int) int64 {
 	return total
 }
 
+// estimatePhases runs Algorithm 1 over an instance's phases: each step
+// body is estimated once and multiplied by its repeat count — the
+// per-node cost times the number of unrolled nodes of Section V-B.
+func (a *Analytic) estimatePhases(phases []dnn.Phase, batch int) int64 {
+	var total int64
+	for _, p := range phases {
+		total += int64(p.Times) * a.EstimateLayers(p.Body, batch)
+	}
+	return total
+}
+
 // Estimate predicts the network-wide inference cycles for a model
 // instance. CNNs use the static DAG; RNNs first predict the unrolled
 // recurrence length from the statically-known input length via the
-// profile-driven regression (Section V-B), then unroll and estimate.
+// profile-driven regression (Section V-B), then estimate each step once
+// and scale it by the predicted step count.
 func (a *Analytic) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
 	if batch <= 0 {
 		return 0, fmt.Errorf("predictor: non-positive batch %d", batch)
@@ -110,13 +122,13 @@ func (a *Analytic) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
 		return 0, err
 	}
 	outLen := p.Regression.Predict(inLen)
-	return a.EstimateLayers(m.LayersFor(inLen, outLen), batch), nil
+	return a.estimatePhases(m.PhasesFor(inLen, outLen), batch), nil
 }
 
 // EstimateWithOutLen predicts using a known output length (used by tests
 // and the oracle comparisons).
 func (a *Analytic) EstimateWithOutLen(m *dnn.Model, batch, inLen, outLen int) int64 {
-	return a.EstimateLayers(m.LayersFor(inLen, outLen), batch)
+	return a.estimatePhases(m.PhasesFor(inLen, outLen), batch)
 }
 
 func ceil(x, d int) int { return (x + d - 1) / d }
@@ -164,8 +176,8 @@ func (p *Profile) Observe(model, layer string, batch int, cycles int64) {
 // inferences" workflow of Section V-B).
 func (p *Profile) ObserveProgram(m *dnn.Model, prog *npu.Program, layers []dnn.Layer) {
 	perLayer := make([]int64, len(layers))
-	for i := range prog.Instrs {
-		perLayer[prog.Instrs[i].Layer] += prog.Instrs[i].RunCycles()
+	for in := range prog.Runs() {
+		perLayer[in.Layer] += in.RunCycles()
 	}
 	for i, l := range layers {
 		p.Observe(m.Name, l.Name, prog.Batch, perLayer[i])
@@ -184,18 +196,26 @@ func (p *Profile) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
 		outLen = lp.Regression.Predict(inLen)
 	}
 	var total int64
-	for _, l := range m.LayersFor(inLen, outLen) {
-		if e, ok := p.table[profKey(m.Name, l.Name, batch)]; ok && e.count > 0 {
-			total += e.totalCycles / e.count
-			continue
+	for _, ph := range m.PhasesFor(inLen, outLen) {
+		var body int64
+		for _, l := range ph.Body {
+			body += p.layerCycles(m, l, batch)
 		}
-		if g, ok := l.GEMM(batch); ok {
-			total += p.fallback.LayerCycles(g)
-		} else {
-			total += p.fallback.VectorCycles(l, batch)
-		}
+		total += int64(ph.Times) * body
 	}
 	return total, nil
+}
+
+// layerCycles is one layer's profiled average, or the analytic
+// estimate when the layer has never been observed.
+func (p *Profile) layerCycles(m *dnn.Model, l dnn.Layer, batch int) int64 {
+	if e, ok := p.table[profKey(m.Name, l.Name, batch)]; ok && e.count > 0 {
+		return e.totalCycles / e.count
+	}
+	if g, ok := l.GEMM(batch); ok {
+		return p.fallback.LayerCycles(g)
+	}
+	return p.fallback.VectorCycles(l, batch)
 }
 
 // MACProxy estimates time as MACs divided by peak throughput — the naive

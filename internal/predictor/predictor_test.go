@@ -259,3 +259,78 @@ func TestSuiteWideAccuracyMatchesPaper(t *testing.T) {
 		t.Errorf("suite-wide mean prediction error %.2f%%, want < 6%%", mean*100)
 	}
 }
+
+// TestPhaseEstimatesMatchExpansion: estimating each step body once and
+// scaling it by its repeat count is exactly Algorithm 1 over the
+// unrolled layer list, for the analytic, profile and MAC-proxy
+// predictors, at every RNN, batch and a spread of sequence lengths.
+func TestPhaseEstimatesMatchExpansion(t *testing.T) {
+	cfg, lib, an, comp := testFixtures(t)
+	prof, err := NewProfile(cfg, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := NewMACProxy(cfg, lib)
+	perCycle := int64(cfg.SW) * int64(cfg.SH)
+	for _, m := range dnn.All() {
+		if !m.IsRNN() {
+			continue
+		}
+		p, err := lib.Predictor(m.SeqProfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range dnn.BatchSizes {
+			for inLen := m.MinInLen; inLen <= m.MaxInLen; inLen += 7 {
+				outLen := p.Regression.Predict(inLen)
+				layers := m.LayersFor(inLen, outLen)
+				if got, want := an.EstimateWithOutLen(m, b, inLen, outLen), an.EstimateLayers(layers, b); got != want {
+					t.Fatalf("%s b%d %d/%d: phase estimate %d, expansion %d", m.Name, b, inLen, outLen, got, want)
+				}
+				if got, _ := an.Estimate(m, b, inLen); got != an.EstimateLayers(layers, b) {
+					t.Fatalf("%s b%d in %d: Estimate %d differs from the expansion", m.Name, b, inLen, got)
+				}
+				var macs int64
+				for _, l := range layers {
+					macs += l.MACs(b)
+				}
+				if got, _ := proxy.Estimate(m, b, inLen); got != (macs+perCycle-1)/perCycle {
+					t.Fatalf("%s b%d in %d: MAC proxy %d differs from the expansion", m.Name, b, inLen, got)
+				}
+				// The profile predictor, before and after observing a
+				// program of a different instance, against the per-layer
+				// sum over the expansion.
+				for pass := 0; pass < 2; pass++ {
+					var want int64
+					for _, l := range layers {
+						want += prof.layerCycles(m, l, b)
+					}
+					if got, _ := prof.Estimate(m, b, inLen); got != want {
+						t.Fatalf("%s b%d in %d pass %d: profile estimate %d, expansion %d",
+							m.Name, b, inLen, pass, got, want)
+					}
+					prog, err := comp.Compile(m, b, inLen, outLen+3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prof.ObserveProgram(m, prog, m.LayersFor(inLen, outLen+3))
+				}
+				// Every timestep of a layer takes the same cycles, so a
+				// fresh profile fed this very instance predicts it exactly.
+				fresh, err := NewProfile(cfg, lib)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := comp.Compile(m, b, inLen, outLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh.ObserveProgram(m, prog, layers)
+				if got, _ := fresh.Estimate(m, b, inLen); got != prog.TotalCycles {
+					t.Fatalf("%s b%d in %d: observed-profile estimate %d, program total %d",
+						m.Name, b, inLen, got, prog.TotalCycles)
+				}
+			}
+		}
+	}
+}

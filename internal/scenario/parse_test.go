@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -133,6 +135,7 @@ func TestParseErrors(t *testing.T) {
 		{"scaler without slo", valid + "scaler queue-depth\n", "slo"},
 		{"unknown model", valid + "models CNN-XX\n", "CNN-XX"},
 		{"warmup out of range", valid + "warmup 1.5\n", "warmup"},
+		{"warmup NaN", valid + "warmup NaN\n", "warmup"},
 		{"slo assert without scaler", valid + "assert slo_violation_frac < 0.5\n", "scaler"},
 		{"tier assert malformed", valid + "assert tier fast latency < 0.5\n", "line 5"},
 		{"tier assert without scaler", valid + "assert tier fast slo_violation_frac < 0.5\n", "scaler"},
@@ -198,6 +201,36 @@ func TestAssertionString(t *testing.T) {
 	for _, tc := range cases {
 		if got := tc.a.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// TestNonFiniteLoadRejected: the baseline scenario with a NaN or
+// infinite load segment (or warmup) used to validate — NaN passes an
+// ordered comparison — and then ran without end. Each probe is refused
+// at parse time, well under a second.
+func TestNonFiniteLoadRejected(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "baseline.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ramp = "load 0.4 1.5 3.0 1.5 0.4\n"
+	if !strings.Contains(string(src), ramp) {
+		t.Fatalf("baseline.txt no longer holds the ramp %q", ramp)
+	}
+	for _, probe := range []struct{ replace, want string }{
+		{"load 0.4 NaN\n", "not a finite number"},
+		{"load 0.4 Inf\n", "not a finite number"},
+		{"load +Inf 0.4\n", "not a finite number"},
+		{ramp + "warmup NaN\n", "warmup"},
+	} {
+		start := time.Now()
+		_, err := Parse(strings.Replace(string(src), ramp, probe.replace, 1))
+		if err == nil || !strings.Contains(err.Error(), probe.want) {
+			t.Errorf("%q: error %v, want substring %q", probe.replace, err, probe.want)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%q: took %v, want under 1s", probe.replace, d)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/autoscale"
@@ -166,7 +167,7 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
-	if sc.Warmup < 0 || sc.Warmup >= 1 {
+	if !(sc.Warmup >= 0 && sc.Warmup < 1) {
 		return fmt.Errorf("scenario: warmup fraction %v outside [0, 1)", sc.Warmup)
 	}
 	if sc.Segment <= 0 {
@@ -179,6 +180,9 @@ func (sc *Scenario) Validate() error {
 	for i, l := range sc.Load {
 		if l < 0 {
 			return fmt.Errorf("scenario: load segment %d is negative (%v)", i, l)
+		}
+		if math.IsNaN(l) || math.IsInf(l, 0) {
+			return fmt.Errorf("scenario: load segment %d is not a finite number (%v)", i, l)
 		}
 		any = any || l > 0
 	}

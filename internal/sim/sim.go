@@ -39,7 +39,9 @@ type Options struct {
 	Selector sched.MechanismSelector
 	// MaxCycles aborts a runaway simulation (0 means a generous
 	// default); exceeding it is an error so scheduler livelock cannot
-	// masquerade as a result.
+	// masquerade as a result. It bounds the cycles spent with work
+	// present: idle gaps before and between arrivals do not count, so
+	// a late arrival cannot trip it.
 	MaxCycles int64
 	// CkptMem, when non-nil, tracks checkpointed contexts against a
 	// finite NPU-local memory pool (Section VI-G): oversubscription
@@ -96,6 +98,7 @@ type Sim struct {
 	running  *sched.Task
 	runSince int64 // cycle the running task's current span began
 	now      int64
+	idle     int64 // cycles skipped with nothing to run
 	result   Result
 
 	// live is the scratch buffer allLive refills at every scheduler
@@ -148,7 +151,7 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	remaining := len(s.tasks)
 	for remaining > 0 {
-		if s.now > s.opt.MaxCycles {
+		if s.now-s.idle > s.opt.MaxCycles {
 			return nil, fmt.Errorf("sim: exceeded max cycles %d (policy %s): likely livelock",
 				s.opt.MaxCycles, s.opt.Policy.Name())
 		}
@@ -159,7 +162,9 @@ func (s *Sim) Run() (*Result, error) {
 			if s.pendHead >= len(s.pending) {
 				return nil, fmt.Errorf("sim: %d tasks unfinished with empty queues", remaining)
 			}
-			s.now = s.pending[s.pendHead].Arrival
+			next := s.pending[s.pendHead].Arrival
+			s.idle += next - s.now
+			s.now = next
 			continue
 		}
 

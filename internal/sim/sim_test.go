@@ -314,6 +314,39 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 }
 
+// TestLateArrivalsDoNotTripMaxCycles: the default livelock bound counts
+// busy cycles, not the absolute clock. A single task arriving 10 s in —
+// far past a bound sized for its own work — and two tasks separated by
+// a gap longer than the bound both complete, each as if run alone.
+func TestLateArrivalsDoNotTripMaxCycles(t *testing.T) {
+	cfg, scfg, gen := fixtures(t)
+	rng := workload.RNGFor(1, 1)
+	late, err := gen.InstanceByName(0, "CNN-AN", 1, sched.Low, cfg.Cycles(10*time.Second), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runScenario(t, cfg, scfg, "PREMA", true, "dynamic", []*workload.Task{late})
+	if got := res.Tasks[0].Turnaround(); got != late.IsolatedCycles {
+		t.Errorf("late task turnaround %d, want its isolated %d", got, late.IsolatedCycles)
+	}
+
+	first, err := gen.InstanceByName(0, "CNN-VN", 4, sched.Low, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := (first.IsolatedCycles+late.IsolatedCycles)*100 + cfg.Cycles(scfg.Quantum)*1000
+	second, err := gen.InstanceByName(1, "CNN-AN", 1, sched.High, 3*bound, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res = runScenario(t, cfg, scfg, "PREMA", true, "dynamic", []*workload.Task{first, second})
+	for i, task := range []*workload.Task{first, second} {
+		if got := res.Tasks[i].Turnaround(); got != task.IsolatedCycles {
+			t.Errorf("task %d turnaround %d, want its isolated %d", i, got, task.IsolatedCycles)
+		}
+	}
+}
+
 func TestBusyCyclesNeverExceedMakespan(t *testing.T) {
 	cfg, scfg, gen := fixtures(t)
 	tasks, err := gen.Generate(workload.Spec{Tasks: 6}, workload.RNGFor(21, 9))

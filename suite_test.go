@@ -6,7 +6,7 @@ import (
 
 // TestSuiteRunSharesCache proves the Suite pillar: one cache spans every
 // experiment a Suite runs, so overlapping sweeps answer from memory on
-// the second encounter — which the per-call RunExperiment shape could
+// the second encounter — which a fresh Suite per experiment could
 // never do.
 func TestSuiteRunSharesCache(t *testing.T) {
 	suite, err := NewSuite(SuiteOptions{Runs: 2})
@@ -116,7 +116,7 @@ func TestSystemBoundSuite(t *testing.T) {
 	}
 }
 
-// TestSuiteErrors covers the suite error paths and the deprecated shim.
+// TestSuiteErrors covers the suite error paths.
 func TestSuiteErrors(t *testing.T) {
 	suite, err := NewSuite(SuiteOptions{Runs: 2, NoCache: true})
 	if err != nil {
@@ -139,8 +139,5 @@ func TestSuiteErrors(t *testing.T) {
 	}
 	if len(Experiments()) < 15 {
 		t.Errorf("only %d experiments exposed", len(Experiments()))
-	}
-	if _, err := RunExperiment("nope"); err == nil {
-		t.Error("unknown experiment through the shim should error")
 	}
 }
