@@ -8,7 +8,8 @@
 # "autoscale-tick-overhead" entry is the per-request ns delta between
 # the autoscaled and the plain submit path; "trace-overhead" is the
 # same delta (plus percentage) for the telemetry-attached path, which
-# the telemetry layer budgets at no more than 15%.
+# the telemetry layer budgets at no more than 15%. A "host" block
+# records the CPU model, nproc and Go version the rows were measured on.
 set -eu
 cd "$(dirname "$0")"
 
@@ -29,7 +30,9 @@ run_bench 'BenchmarkScenarioReplay' ./internal/scenario
 run_bench 'BenchmarkPlaneSnapshotUnderLoad' ./internal/ctl
 cat "$raw"
 
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" '
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gover="$(go env GOVERSION)" \
+	-v cpu="${cpu:-unknown}" -v nproc="$(nproc)" '
 /^Benchmark/ {
 	name = $1
 	iters = $2
@@ -57,7 +60,10 @@ END {
 	if (plain != "" && traced != "")
 		rows[n++] = sprintf("    {\"name\": \"trace-overhead\", \"iterations\": 0, \"ns/req\": %.2f, \"pct\": %.2f}",
 			traced - plain, (traced - plain) / plain * 100)
-	printf "{\n  \"suite\": \"serving\",\n  \"generated\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", date, gover
+	gsub(/["\\]/, "", cpu)
+	printf "{\n  \"suite\": \"serving\",\n  \"generated\": \"%s\",\n", date
+	printf "  \"host\": {\"cpu_model\": \"%s\", \"nproc\": %d, \"go_version\": \"%s\"},\n", cpu, nproc, gover
+	printf "  \"benchmarks\": [\n"
 	for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i < n - 1 ? "," : "")
 	printf "  ]\n}\n"
 }' "$raw" > "$out"

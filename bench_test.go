@@ -5,11 +5,10 @@
 // the harness's own cost.
 //
 // Micro-benchmarks for the substrates (compiler, execution cursor,
-// functional systolic array, end-to-end simulation) follow at the bottom.
+// end-to-end simulation) follow at the bottom.
 package prema
 
 import (
-	"flag"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,22 +19,16 @@ import (
 	"repro/internal/npu"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/systolic"
 	"repro/internal/workload"
 )
-
-// benchCache mirrors premabench's -cache flag, but defaults off: each
-// benchmark re-runs one experiment b.N times over a single suite, so a
-// warm cache would answer every iteration after the first from memory
-// and ns/op would stop tracking simulator cost — the regression these
-// benchmarks exist to catch. Pass -cache to measure the amortized
-// cached path instead. Results are bit-identical either way.
-var benchCache = flag.Bool("cache", false,
-	"enable the cross-experiment simulation-result cache in benchmark suites")
 
 // benchSuite builds an experiment suite sized for benchmarking: fewer
 // runs per configuration than the paper's 25 so a full -bench=. sweep
 // stays in the minutes range while preserving every qualitative outcome.
+// The run cache is off: each benchmark re-runs one experiment b.N times
+// over a single suite, so a warm cache would answer every iteration
+// after the first from memory and ns/op would stop tracking simulator
+// cost.
 func benchSuite(b *testing.B) *exp.Suite {
 	b.Helper()
 	s, err := exp.NewSuite()
@@ -43,24 +36,8 @@ func benchSuite(b *testing.B) *exp.Suite {
 		b.Fatal(err)
 	}
 	s.Runs = 8
-	if !*benchCache {
-		s.Cache = nil
-	}
+	s.Cache = nil
 	return s
-}
-
-// TestBenchCacheFlagThreads proves the -cache flag reaches the suite.
-func TestBenchCacheFlagThreads(t *testing.T) {
-	s, err := exp.NewSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Cache == nil {
-		t.Error("NewSuite should default-enable the run cache")
-	}
-	if *benchCache {
-		t.Error("benchmarks must default to cache-off so ns/op tracks simulator cost")
-	}
 }
 
 // cell parses a numeric table cell such as "7.81x", "36.0", "12.3%".
@@ -395,39 +372,6 @@ func BenchmarkExecutionAdvance(b *testing.B) {
 		e := npu.NewExecution(prog)
 		for !e.Done() {
 			e.Advance(quantum)
-		}
-	}
-}
-
-// BenchmarkSystolicStream measures the functional cycle-stepped systolic
-// array on a 32x32 tile with 64 activation columns.
-func BenchmarkSystolicStream(b *testing.B) {
-	a, err := systolic.New(32, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := make([][]int32, 32)
-	for i := range w {
-		w[i] = make([]int32, 32)
-		for j := range w[i] {
-			w[i][j] = int32(i - j)
-		}
-	}
-	if err := a.LoadWeights(w); err != nil {
-		b.Fatal(err)
-	}
-	act := make([][]int32, 64)
-	for t := range act {
-		act[t] = make([]int32, 32)
-		for i := range act[t] {
-			act[t][i] = int32(t + i)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Stream(act); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

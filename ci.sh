@@ -114,4 +114,13 @@ go run ./cmd/premapredict -model CNN-AN >/dev/null
 echo "smoke: cmd/premabench"
 go run ./cmd/premabench -exp fig7 -runs 2 >/dev/null
 
+# Benchmark module smoke: benchmark/ is its own Go module, outside
+# ./..., so nothing above builds it. A change to the exp or serving API
+# that breaks it must fail here. Each workload runs for one second and
+# exits non-zero on a build failure or an incorrect result.
+for w in paper-mix serve-overload hetero-chaos; do
+	echo "smoke: benchmark $w"
+	bash benchmark/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
+
 echo "ci.sh: all green"

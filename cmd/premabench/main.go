@@ -10,18 +10,13 @@
 //	premabench -runs 10           # override the per-config run count
 //	premabench -csv results/      # additionally write CSV files
 //	premabench -parallel 1        # force sequential execution
-//	premabench -cache=false       # disable the cross-experiment cache
-//	premabench -cachestats        # report cache hits/misses per experiment
-//	premabench -cachedir ~/.cache # persist results across invocations
 //
 // Experiments execute through prema.Suite's concurrent engine; -parallel
 // bounds its worker pool (default: GOMAXPROCS). Output is byte-identical
 // for every worker count. Overlapping sweeps (the NP-FCFS baseline, the
 // Static-*/Dynamic-* configurations shared between fig12 and fig15, ...)
-// resolve through a keyed simulation-result cache shared across all
-// selected experiments; cached and fresh results are bit-identical, so
-// -cache only changes runtime, never output. -cachedir persists the
-// cache on disk, so a repeated invocation skips warm work too.
+// resolve through an in-memory simulation-result cache shared across all
+// selected experiments; cached and fresh results are bit-identical.
 package main
 
 import (
@@ -44,12 +39,6 @@ func main() {
 		csvDir   = flag.String("csv", "", "directory to write per-table CSV files")
 		parallel = flag.Int("parallel", 0,
 			"simulation worker-pool size (0 = GOMAXPROCS, 1 = sequential; results identical)")
-		cache = flag.Bool("cache", true,
-			"share simulation results across overlapping experiments (results identical)")
-		cacheStats = flag.Bool("cachestats", false,
-			"report cache hits/misses per experiment")
-		cacheDir = flag.String("cachedir", "",
-			"persist cached simulation results in this directory across invocations")
 	)
 	flag.Parse()
 
@@ -57,8 +46,6 @@ func main() {
 		Runs:     *runs,
 		Seed:     *seed,
 		Parallel: *parallel,
-		NoCache:  !*cache && *cacheDir == "",
-		CacheDir: *cacheDir,
 	})
 	if err != nil {
 		fatal(err)
@@ -97,18 +84,11 @@ func main() {
 		}
 	}
 
-	// On any mid-run failure, keep the warm results of the experiments
-	// that did complete: flush the disk cache before bailing.
-	fail := func(err error) {
-		_ = suite.Close()
-		fatal(err)
-	}
 	for _, id := range selected {
 		start := time.Now()
-		before := suite.CacheStats()
 		results, err := suite.Run(id)
 		if err != nil {
-			fail(err)
+			fatal(err)
 		}
 		for _, res := range results {
 			for _, t := range res.Tables {
@@ -116,22 +96,12 @@ func main() {
 				if *csvDir != "" {
 					path := filepath.Join(*csvDir, t.ID+".csv")
 					if err := os.WriteFile(path, []byte(t.CSV), 0o644); err != nil {
-						fail(err)
+						fatal(err)
 					}
 				}
 			}
 		}
-		if *cacheStats && suite.Cached() {
-			after := suite.CacheStats()
-			fmt.Printf("[%s cache: %d hits, %d misses; %d entries total]\n",
-				id, after.Hits-before.Hits, after.Misses-before.Misses, after.Entries)
-		}
 		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-
-	// Write the warm cache back for the next invocation.
-	if err := suite.Close(); err != nil {
-		fatal(err)
 	}
 }
 

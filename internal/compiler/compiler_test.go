@@ -120,6 +120,134 @@ func TestTileTimeMonotonicInN(t *testing.T) {
 	}
 }
 
+// wsArray is a test-only, cycle-stepped weight-stationary systolic array
+// (Figure 3(b)): PE(i,j) holds weight w[i][j], activations enter row i
+// skewed by i cycles and move one PE right per cycle, and partial sums
+// move one PE down per cycle into the accumulators below the grid. It is
+// the reference TileTime's compute term is checked against.
+type wsArray struct {
+	rows, cols int
+	w          [][]int32 // rows x cols
+}
+
+// wsReg is a PE output register; tag is the activation column it
+// carries, -1 for a pipeline bubble.
+type wsReg struct {
+	v   int32
+	tag int
+}
+
+// stream pushes the activation columns act[t] (each of height rows)
+// through the array and returns out[j][t] = sum_i w[i][j]*act[t][i]
+// together with the cycles the tile occupied the array, from the first
+// injection to the last accumulator commit.
+func (a *wsArray) stream(act [][]int32) (out [][]int32, cycles int) {
+	n := len(act)
+	out = make([][]int32, a.cols)
+	for j := range out {
+		out[j] = make([]int32, n)
+	}
+	bubble := wsReg{tag: -1}
+	acts := make([][]wsReg, a.rows)
+	sums := make([][]wsReg, a.rows)
+	for i := range acts {
+		acts[i] = make([]wsReg, a.cols)
+		sums[i] = make([]wsReg, a.cols)
+		for j := range acts[i] {
+			acts[i][j], sums[i][j] = bubble, bubble
+		}
+	}
+	for cycle, left := 0, n*a.cols; left > 0; cycle++ {
+		// The accumulators latch what the bottom row produced last
+		// cycle.
+		for j, r := range sums[a.rows-1] {
+			if r.tag >= 0 {
+				out[j][r.tag] = r.v
+				left--
+				cycles = cycle + 1
+			}
+		}
+		// Every PE steps at once: walking bottom-right to top-left reads
+		// each neighbour's register before that neighbour overwrites it.
+		for i := a.rows - 1; i >= 0; i-- {
+			for j := a.cols - 1; j >= 0; j-- {
+				in := bubble
+				if j > 0 {
+					in = acts[i][j-1]
+				} else if t := cycle - i; t >= 0 && t < n {
+					in = wsReg{v: act[t][i], tag: t}
+				}
+				acts[i][j] = in
+				if in.tag < 0 {
+					sums[i][j] = bubble
+					continue
+				}
+				var acc int32
+				if i > 0 {
+					acc = sums[i-1][j].v
+				}
+				sums[i][j] = wsReg{v: acc + a.w[i][j]*in.v, tag: in.tag}
+			}
+		}
+	}
+	return out, cycles
+}
+
+// TestTileTimeMatchesCycleSteppedArray validates Algorithm 1's tile-time
+// model against the cycle-stepped reference: the array computes the exact
+// matrix product, occupies n + rows + cols - 1 cycles, and TileTime's
+// compute term n + SH + 2*SW is that occupancy plus the SW+1-cycle
+// weight-staging pass.
+func TestTileTimeMatchesCycleSteppedArray(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	small := func() int32 { return int32(rng.IntN(17) - 8) }
+	for trial := 0; trial < 60; trial++ {
+		rows, cols, n := 1+rng.IntN(32), 1+rng.IntN(32), 1+rng.IntN(64)
+		a := &wsArray{rows: rows, cols: cols, w: make([][]int32, rows)}
+		for i := range a.w {
+			a.w[i] = make([]int32, cols)
+			for j := range a.w[i] {
+				a.w[i][j] = small()
+			}
+		}
+		act := make([][]int32, n)
+		for tc := range act {
+			act[tc] = make([]int32, rows)
+			for i := range act[tc] {
+				act[tc][i] = small()
+			}
+		}
+
+		out, cycles := a.stream(act)
+		for j := 0; j < cols; j++ {
+			for tc := 0; tc < n; tc++ {
+				var want int32
+				for i := 0; i < rows; i++ {
+					want += a.w[i][j] * act[tc][i]
+				}
+				if out[j][tc] != want {
+					t.Fatalf("%dx%d n=%d: out[%d][%d] = %d, naive matmul %d",
+						rows, cols, n, j, tc, out[j][tc], want)
+				}
+			}
+		}
+		if want := n + rows + cols - 1; cycles != want {
+			t.Errorf("%dx%d n=%d: measured occupancy %d cycles, want %d", rows, cols, n, cycles, want)
+		}
+
+		cfg := npu.DefaultConfig()
+		cfg.SH, cfg.SW = rows, cols
+		compute := int64(n + rows + 2*cols)
+		if mem := cfg.MemCycles(dnn.Bytes(int64(rows*cols + rows*n))); mem >= compute {
+			t.Fatalf("%dx%d n=%d: memory term %d binds; the check needs a compute-bound tile", rows, cols, n, mem)
+		}
+		if got, want := TileTime(cfg, rows, n), int64(cycles+1+cols); got != want {
+			t.Errorf("%dx%d n=%d: TileTime = %d, want occupancy %d + 1 + SW %d = %d",
+				rows, cols, n, got, cycles, cols, want)
+		}
+	}
+}
+
 func TestBatchMonotonicity(t *testing.T) {
 	c := newCompiler(t)
 	for _, m := range dnn.Suite() {

@@ -149,19 +149,10 @@ type Suite struct {
 	// results are bit-identical, so enabling the cache never changes
 	// any table.
 	Cache *RunCache
-	// ProfileSeed is the seed the Gen's seq-length profile library was
-	// built with; it versions the on-disk cache (diskcache.go) together
-	// with the NPU configuration.
-	ProfileSeed uint64
 
 	// simulations counts simulateOne executions (cache misses plus
 	// non-cacheable runs); read via Simulations.
 	simulations int64
-
-	// diskPath/diskFP are set by AttachDiskCache and consumed by
-	// FlushDiskCache (see diskcache.go).
-	diskPath string
-	diskFP   string
 }
 
 // Simulations reports how many simulations the Suite has actually
@@ -189,13 +180,12 @@ func NewSuiteFor(cfg npu.Config, scfg sched.Config, gen *workload.Generator, pro
 		}
 	}
 	return &Suite{
-		NPU:         cfg,
-		Sched:       scfg,
-		Gen:         gen,
-		Runs:        25,
-		Seed:        0xBEEF,
-		Cache:       NewRunCache(),
-		ProfileSeed: profileSeed,
+		NPU:   cfg,
+		Sched: scfg,
+		Gen:   gen,
+		Runs:  25,
+		Seed:  0xBEEF,
+		Cache: NewRunCache(),
 	}, nil
 }
 

@@ -22,7 +22,6 @@ var errDropMustCheck = map[string][]string{
 	"repro/internal/cluster.State":       {"TrackWork"},
 	"repro.Session":                      {"Close", "Drain"},
 	"repro.NodeSession":                  {"Close", "Drain"},
-	"repro.Suite":                        {"Close"},
 }
 
 var errDropAnalyzer = &Analyzer{

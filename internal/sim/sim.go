@@ -8,6 +8,13 @@
 // The scheduler wakes under the paper's three conditions (Section V-C):
 // a new task arrives, the running task completes, or the scheduling
 // period elapses.
+//
+// Each wake wires the blocks of the paper's Figure 4 the way its block
+// diagram does: sched.UpdateTokens grants Algorithm 2's tokens over the
+// inference task context table (the live sched.Tasks), the Policy's Pick
+// chooses the candidate, and — only when the policy recommends displacing
+// the runner — the Selector (Algorithm 3, or a pinned static mechanism)
+// chooses how to preempt, which internal/preempt then services.
 package sim
 
 import (

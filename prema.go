@@ -33,9 +33,8 @@
 // surfaces also serve closed-loop client populations (OfferClients),
 // sweeping concurrency instead of offered load.
 //
-// Experiment suite. NewSuite shares one simulation-result cache (and
-// optionally an on-disk cache) across every paper experiment run through
-// Suite.Run.
+// Experiment suite. NewSuite shares one in-memory simulation-result
+// cache across every paper experiment run through Suite.Run.
 //
 // The cmd/ tools and examples/ directory are built exclusively on this
 // facade and demonstrate the intended usage patterns.

@@ -4,8 +4,7 @@ package prema
 // generator, a compiled-program cache and a simulation-result cache
 // across every paper experiment it runs, so overlapping sweeps (the
 // NP-FCFS baseline, the Static-*/Dynamic-* configurations shared between
-// figures, ...) simulate once per process — and, with CacheDir set, once
-// per machine.
+// figures, ...) simulate once per process.
 
 import (
 	"fmt"
@@ -23,16 +22,6 @@ type SuiteOptions struct {
 	// Parallel bounds the engine's worker pool (0 = GOMAXPROCS, 1 =
 	// sequential; results are byte-identical for every value).
 	Parallel int
-	// NoCache disables the simulation-result cache that otherwise
-	// shares runs across overlapping experiments. Cached and fresh
-	// results are bit-identical, so caching changes runtime, never
-	// output — NoCache exists for benchmarking the simulator itself.
-	NoCache bool
-	// CacheDir additionally persists cached outcomes on disk across
-	// processes (incompatible with NoCache), versioned by the NPU
-	// configuration and profile seed; corrupt or mismatched files are
-	// ignored. Call Close to write back.
-	CacheDir string
 }
 
 // Table is one rendered experiment table.
@@ -55,9 +44,6 @@ type ExperimentResult struct {
 	Tables []Table
 }
 
-// CacheStats snapshots the suite cache's effectiveness.
-type CacheStats = exp.CacheStats
-
 // Suite runs paper experiments over one shared simulation cache.
 type Suite struct {
 	inner *exp.Suite
@@ -75,9 +61,8 @@ func NewSuite(opt SuiteOptions) (*Suite, error) {
 }
 
 // NewSuite builds an experiment suite bound to this System: the
-// experiments run against its NPU and scheduler configuration, share
-// its compiled-program cache, and — with CacheDir set — persist under a
-// fingerprint derived from its configuration.
+// experiments run against its NPU and scheduler configuration and share
+// its compiled-program cache.
 func (s *System) NewSuite(opt SuiteOptions) (*Suite, error) {
 	inner, err := exp.NewSuiteFor(s.opt.NPU, s.opt.Sched, s.gen, s.opt.ProfileSeed)
 	if err != nil {
@@ -87,26 +72,19 @@ func (s *System) NewSuite(opt SuiteOptions) (*Suite, error) {
 }
 
 func newSuite(inner *exp.Suite, opt SuiteOptions) (*Suite, error) {
+	if opt.Runs < 0 {
+		return nil, fmt.Errorf("prema: negative SuiteOptions.Runs %d", opt.Runs)
+	}
+	if opt.Parallel < 0 {
+		return nil, fmt.Errorf("prema: negative SuiteOptions.Parallel %d", opt.Parallel)
+	}
 	if opt.Runs > 0 {
 		inner.Runs = opt.Runs
 	}
 	if opt.Seed != 0 {
 		inner.Seed = opt.Seed
 	}
-	if opt.Parallel > 0 {
-		inner.Workers = opt.Parallel
-	}
-	if opt.NoCache {
-		if opt.CacheDir != "" {
-			return nil, fmt.Errorf("prema: SuiteOptions.CacheDir requires the cache (drop NoCache)")
-		}
-		inner.Cache = nil
-	}
-	if opt.CacheDir != "" {
-		if err := inner.AttachDiskCache(opt.CacheDir); err != nil {
-			return nil, err
-		}
-	}
+	inner.Workers = opt.Parallel
 	return &Suite{inner: inner}, nil
 }
 
@@ -125,10 +103,6 @@ func (s *Suite) Experiments() []ExperimentInfo {
 	}
 	return out
 }
-
-// Cached reports whether the suite's simulation-result cache is
-// enabled.
-func (s *Suite) Cached() bool { return s.inner.Cache != nil }
 
 // Run regenerates the named experiments (all of them when none are
 // given), sharing the suite's simulation cache across the whole
@@ -162,23 +136,6 @@ func (s *Suite) Run(ids ...string) ([]ExperimentResult, error) {
 	}
 	return out, nil
 }
-
-// CacheStats snapshots the suite's simulation-result cache counters
-// (zero when caching is disabled).
-func (s *Suite) CacheStats() CacheStats {
-	if s.inner.Cache == nil {
-		return CacheStats{}
-	}
-	return s.inner.Cache.Stats()
-}
-
-// Simulations reports how many simulations the suite actually executed
-// (cache hits excluded).
-func (s *Suite) Simulations() int64 { return s.inner.Simulations() }
-
-// Close flushes the on-disk cache, if one is attached. The suite
-// remains usable afterwards.
-func (s *Suite) Close() error { return s.inner.FlushDiskCache() }
 
 // Experiments lists the registered paper experiment IDs.
 func Experiments() []string { return exp.IDs() }

@@ -20,7 +20,7 @@ func TestSuiteRunSharesCache(t *testing.T) {
 	if len(first) != 1 || first[0].ID != "fig11" || len(first[0].Tables) == 0 {
 		t.Fatalf("unexpected result shape: %+v", first)
 	}
-	cold := suite.Simulations()
+	cold := suite.inner.Simulations()
 	if cold == 0 {
 		t.Fatal("cold run did not simulate")
 	}
@@ -28,10 +28,10 @@ func TestSuiteRunSharesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := suite.Simulations(); got != cold {
+	if got := suite.inner.Simulations(); got != cold {
 		t.Errorf("repeat run simulated %d extra times; the cache should answer", got-cold)
 	}
-	if suite.CacheStats().Hits == 0 {
+	if suite.inner.Cache.Stats().Hits == 0 {
 		t.Error("repeat run recorded no cache hits")
 	}
 	for i := range first[0].Tables {
@@ -44,98 +44,57 @@ func TestSuiteRunSharesCache(t *testing.T) {
 	}
 }
 
-// TestSuiteDiskCache proves SuiteOptions.CacheDir: a second process
-// (modelled by a second Suite) renders byte-identical tables without
-// simulating at all.
-func TestSuiteDiskCache(t *testing.T) {
-	dir := t.TempDir()
-	cold, err := NewSuite(SuiteOptions{Runs: 2, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := cold.Run("fig11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cold.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := NewSuite(SuiteOptions{Runs: 2, CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := warm.Run("fig11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := warm.Simulations(); got != 0 {
-		t.Errorf("warm suite simulated %d times; disk cache should answer everything", got)
-	}
-	for i := range first[0].Tables {
-		if first[0].Tables[i].Text != second[0].Tables[i].Text {
-			t.Error("warm table bytes diverge from cold")
-		}
-	}
-}
-
 // TestSystemBoundSuite proves a customized System hands its
-// configuration to its Suite: the experiments run on the System's NPU,
-// and the disk-cache fingerprint separates it from the default
-// configuration's cache.
+// configuration to its Suite: the experiments run on the System's NPU
+// and reuse its generator, so the tables differ from the default
+// configuration's.
 func TestSystemBoundSuite(t *testing.T) {
 	cfg := DefaultNPUConfig()
 	cfg.SW, cfg.SH = 64, 64
 	sys := newSystem(t, WithNPU(cfg))
-	dir := t.TempDir()
 
-	suite, err := sys.NewSuite(SuiteOptions{Runs: 2, CacheDir: dir})
+	suite, err := sys.NewSuite(SuiteOptions{Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := suite.Run("fig11"); err != nil {
-		t.Fatal(err)
+	if suite.inner.NPU.SW != 64 || suite.inner.Gen != sys.gen {
+		t.Fatal("bound suite does not run on the System's NPU and generator")
 	}
-	if suite.Simulations() == 0 {
-		t.Fatal("bound suite did not simulate")
-	}
-	if err := suite.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The default configuration must not see the 64x64 cache.
-	other, err := NewSuite(SuiteOptions{Runs: 2, CacheDir: dir})
+	bound, err := suite.Run("fig11")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.Run("fig11"); err != nil {
+
+	other, err := NewSuite(SuiteOptions{Runs: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if other.Simulations() == 0 {
-		t.Error("default suite was answered from a different configuration's disk cache")
+	def, err := other.Run("fig11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound[0].Tables[0].Text == def[0].Tables[0].Text {
+		t.Error("a 64x64 System rendered the default configuration's fig11")
 	}
 }
 
 // TestSuiteErrors covers the suite error paths.
 func TestSuiteErrors(t *testing.T) {
-	suite, err := NewSuite(SuiteOptions{Runs: 2, NoCache: true})
+	suite, err := NewSuite(SuiteOptions{Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if suite.Cached() {
-		t.Error("NoCache suite reports an enabled cache")
+	if suite.inner.Cache == nil {
+		t.Error("zero-value options should enable the cache")
 	}
 	if _, err := suite.Run("nope"); err == nil {
 		t.Error("unknown experiment should error")
 	}
-	if got := suite.CacheStats(); got.Entries != 0 {
-		t.Errorf("cacheless suite reports %d entries", got.Entries)
+	if _, err := NewSuite(SuiteOptions{Runs: -3}); err == nil {
+		t.Error("negative Runs should be rejected")
 	}
-	if cached, err := NewSuite(SuiteOptions{}); err != nil || !cached.Cached() {
-		t.Errorf("zero-value options should enable the cache: %v", err)
-	}
-	if _, err := NewSuite(SuiteOptions{NoCache: true, CacheDir: t.TempDir()}); err == nil {
-		t.Error("NoCache with CacheDir should be rejected")
+	if _, err := NewSuite(SuiteOptions{Parallel: -4}); err == nil {
+		t.Error("negative Parallel should be rejected")
 	}
 	if len(Experiments()) < 15 {
 		t.Errorf("only %d experiments exposed", len(Experiments()))
