@@ -193,44 +193,62 @@ func (a *wsArray) stream(act [][]int32) (out [][]int32, cycles int) {
 	return out, cycles
 }
 
-// TestTileTimeMatchesCycleSteppedArray validates Algorithm 1's tile-time
-// model against the cycle-stepped reference: the array computes the exact
-// matrix product, occupies n + rows + cols - 1 cycles, and TileTime's
-// compute term n + SH + 2*SW is that occupancy plus the SW+1-cycle
-// weight-staging pass.
-func TestTileTimeMatchesCycleSteppedArray(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
+// randWSTile draws a random array shape, weights and activation columns
+// for the cycle-stepped reference, with small values so products never
+// overflow.
+func randWSTile(rng *rand.Rand) (a *wsArray, act [][]int32) {
 	small := func() int32 { return int32(rng.IntN(17) - 8) }
-	for trial := 0; trial < 60; trial++ {
-		rows, cols, n := 1+rng.IntN(32), 1+rng.IntN(32), 1+rng.IntN(64)
-		a := &wsArray{rows: rows, cols: cols, w: make([][]int32, rows)}
-		for i := range a.w {
-			a.w[i] = make([]int32, cols)
-			for j := range a.w[i] {
-				a.w[i][j] = small()
-			}
+	rows, cols, n := 1+rng.IntN(32), 1+rng.IntN(32), 1+rng.IntN(64)
+	a = &wsArray{rows: rows, cols: cols, w: make([][]int32, rows)}
+	for i := range a.w {
+		a.w[i] = make([]int32, cols)
+		for j := range a.w[i] {
+			a.w[i][j] = small()
 		}
-		act := make([][]int32, n)
-		for tc := range act {
-			act[tc] = make([]int32, rows)
-			for i := range act[tc] {
-				act[tc][i] = small()
-			}
+	}
+	act = make([][]int32, n)
+	for tc := range act {
+		act[tc] = make([]int32, rows)
+		for i := range act[tc] {
+			act[tc][i] = small()
 		}
+	}
+	return a, act
+}
 
-		out, cycles := a.stream(act)
-		for j := 0; j < cols; j++ {
-			for tc := 0; tc < n; tc++ {
+// TestStreamMatchesMatMulProperty checks that the cycle-stepped reference
+// computes the exact matrix product for random shapes, so the occupancy
+// it measures below is that of a working dataflow.
+func TestStreamMatchesMatMulProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	for trial := 0; trial < 60; trial++ {
+		a, act := randWSTile(rng)
+		out, _ := a.stream(act)
+		for j := 0; j < a.cols; j++ {
+			for tc := range act {
 				var want int32
-				for i := 0; i < rows; i++ {
+				for i := 0; i < a.rows; i++ {
 					want += a.w[i][j] * act[tc][i]
 				}
 				if out[j][tc] != want {
 					t.Fatalf("%dx%d n=%d: out[%d][%d] = %d, naive matmul %d",
-						rows, cols, n, j, tc, out[j][tc], want)
+						a.rows, a.cols, len(act), j, tc, out[j][tc], want)
 				}
 			}
 		}
+	}
+}
+
+// TestMeasuredCyclesMatchAnalyticFormula validates Algorithm 1's tile-time
+// model against the cycle-stepped reference: the array occupies
+// n + rows + cols - 1 cycles, and TileTime's compute term n + SH + 2*SW
+// is that occupancy plus the SW+1-cycle weight-staging pass.
+func TestMeasuredCyclesMatchAnalyticFormula(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 60; trial++ {
+		a, act := randWSTile(rng)
+		rows, cols, n := a.rows, a.cols, len(act)
+		_, cycles := a.stream(act)
 		if want := n + rows + cols - 1; cycles != want {
 			t.Errorf("%dx%d n=%d: measured occupancy %d cycles, want %d", rows, cols, n, cycles, want)
 		}
